@@ -5,18 +5,28 @@ slower for a minute at a time. `reference_s` times a fixed pure-Python
 loop that speeds up and slows down with the library (over 3 s windows their
 times correlated at 0.97). `HostSpeed` samples that loop around and inside
 the operations, never within their timings, and scales each operation's
-wall time by `REF_NOMINAL_S` over the median loop time sampled around it.
+wall time by `REF_NOMINAL_S` over the mean loop time sampled around it.
 The results read as seconds at the host's usual speed.
+
+Starting a process tracks the host differently from a pure-Python loop, so
+set-up times are scaled by `interpreter_start_s`, a bare interpreter start
+timed just before each set-up process, against `START_NOMINAL_S`.
 """
 
 from __future__ import annotations
 
 import statistics
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 #: About the median `reference_s()` on that 2-CPU host (Python 3.11.7).
 REF_NOMINAL_S = 0.042
+#: About the median `interpreter_start_s()` on the same host.
+START_NOMINAL_S = 0.065
+#: Least time between two samples taken inside an operation.
+SAMPLE_EVERY_S = 0.25
 
 
 def reference_s() -> float:
@@ -28,6 +38,13 @@ def reference_s() -> float:
     x = 0
     for i in range(200_000):
         x += i * i % 7
+    return time.perf_counter() - started
+
+
+def interpreter_start_s() -> float:
+    """Wall time of starting a bare interpreter that does nothing."""
+    started = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "pass"], check=True)
     return time.perf_counter() - started
 
 
@@ -43,17 +60,29 @@ class HostSpeed:
     def __init__(self):
         self.samples: list[float] = []
         self._gap_start = 0
+        self._sampled_at = time.perf_counter()
 
     def sample(self) -> float:
         t = reference_s()
         self.samples.append(t)
+        self._sampled_at = time.perf_counter()
         return t
+
+    def sample_due(self) -> float:
+        """Inside an operation: sample when `SAMPLE_EVERY_S` has passed since
+        the last sample. Returns the seconds this took, for the caller to
+        take out of the operation's timing."""
+        started = time.perf_counter()
+        if started - self._sampled_at < SAMPLE_EVERY_S:
+            return 0.0
+        self.sample()
+        return time.perf_counter() - started
 
     def scaled(self, wall_s: float, gap: int = 1) -> float:
         """`wall_s` at nominal speed, after sampling a gap of `gap` loops."""
         start = len(self.samples)
         for _ in range(gap):
             self.sample()
-        around = statistics.median(self.samples[self._gap_start:])
+        around = statistics.fmean(self.samples[self._gap_start:])
         self._gap_start = start
         return wall_s * REF_NOMINAL_S / around

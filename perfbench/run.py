@@ -48,21 +48,19 @@ import commsched.distsim  # noqa: E402
 import commsched.lp  # noqa: E402
 import commsched.solver  # noqa: E402
 from commsched.solver import SolveBudget, bound, propagate, solve  # noqa: E402
-from hostspeed import REF_NOMINAL_S, HostSpeed  # noqa: E402
+from hostspeed import REF_NOMINAL_S, START_NOMINAL_S, HostSpeed, interpreter_start_s  # noqa: E402
 from tracing import NULL_TRACER, Rebinding, Tracer, totals_by_name  # noqa: E402
 from workloads import WORKLOADS, Outcome, PlanOp, oracle_value, run_plan, run_sim  # noqa: E402
 
 DEFAULT_SEED = 1
-SETUP_REPEATS = 9
-#: Reference loops sampled just before and just after the set-up processes.
-SETUP_GAP = 5
+SETUP_REPEATS = 11
 
 
 def run_op(op, tracer, speed=None):
     """One operation; an exception fails the operation, not the run."""
     try:
         if isinstance(op, PlanOp):
-            return run_plan(op, tracer)
+            return run_plan(op, tracer, speed)
         return run_sim(op, tracer, speed)
     except Exception:
         traceback.print_exc(file=sys.stderr)
@@ -135,18 +133,23 @@ def tail(samples: list[float], corpus_size: int) -> tuple[int, float]:
     return q, ordered[math.ceil(q / 100 * len(ordered)) - 1]
 
 
-def measure_setup(workload: str, seed: int) -> float:
-    """Median wall time of fresh processes that import and build the corpus."""
-    times = []
+def measure_setup(workload: str, seed: int) -> tuple[float, float]:
+    """Median wall time of fresh processes that import and build the corpus,
+    each scaled by a bare interpreter start timed just before it; and the
+    unscaled median."""
+    scaled, raw = [], []
     for _ in range(SETUP_REPEATS):
+        bare = interpreter_start_s()
         started = time.perf_counter()
         subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
              "--seed", str(seed), "--setup-only"],
             check=True,
         )
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
+        wall = time.perf_counter() - started
+        raw.append(wall)
+        scaled.append(wall * START_NOMINAL_S / bare)
+    return statistics.median(scaled), statistics.median(raw)
 
 
 def _plans(outcomes):
@@ -344,11 +347,9 @@ def main(argv=None) -> int:
         )
         reported = traced
     else:
+        setup_s, setup_raw = measure_setup(args.workload, args.seed)
         speed = HostSpeed()
-        for _ in range(SETUP_GAP):
-            speed.sample()
-        setup_raw = measure_setup(args.workload, args.seed)
-        setup_s = speed.scaled(setup_raw, SETUP_GAP)
+        speed.sample()
         times: list[float] = []
         first = run_pass(ops, NULL_TRACER, speed, times)
         check_oracle(ops, first)
@@ -364,8 +365,9 @@ def main(argv=None) -> int:
         metrics, notes = end_to_end(first, samples, len(ops), setup_s)
         raw = [o.wall_s for o in outcomes if not math.isnan(o.wall_s)]
         notes.append(
-            f"times at nominal host speed from {len(speed.samples)} reference loops"
+            f"operation times at nominal host speed from {len(speed.samples)} reference loops"
             f" (median {statistics.median(speed.samples)} s, nominal {REF_NOMINAL_S} s);"
+            f" setup_s scaled by bare interpreter starts (nominal {START_NOMINAL_S} s);"
             f" unscaled op_s_p50 {statistics.median(raw)} s, setup_s {setup_raw} s"
         )
         reported = first

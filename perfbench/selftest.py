@@ -5,9 +5,9 @@
 Checks that replaying one plan and one simulation in one process gives
 identical digests, that the traced run's span tree covers every layer
 boundary the benchmark reports, that the rebound names are restored, how
-host-speed scaling judges an interval, that the encoding sizes match the
-baseline table in ROADMAP.md, and that the benchmark fails without the
-library's source tree.
+host-speed scaling judges an interval and a set-up time, that the encoding
+sizes match the baseline table in ROADMAP.md, and that the benchmark fails
+without the library's source tree.
 """
 
 from __future__ import annotations
@@ -142,7 +142,27 @@ class HostSpeedTest(unittest.TestCase):
         finally:
             hostspeed.reference_s = saved
         self.assertAlmostEqual(first, hostspeed.REF_NOMINAL_S / 0.075)
-        self.assertAlmostEqual(second, 2.0 * hostspeed.REF_NOMINAL_S / 0.15)
+        self.assertAlmostEqual(second, 2.0 * hostspeed.REF_NOMINAL_S / 0.175)
+
+    def test_sample_inside_an_operation_only_when_due(self):
+        speed = hostspeed.HostSpeed()
+        speed.sample()
+        self.assertEqual(speed.sample_due(), 0.0)
+        self.assertEqual(len(speed.samples), 1)
+        speed._sampled_at -= hostspeed.SAMPLE_EVERY_S
+        self.assertGreater(speed.sample_due(), 0.0)
+        self.assertEqual(len(speed.samples), 2)
+
+
+class SetupTest(unittest.TestCase):
+    def test_setup_scaled_by_the_interpreter_start(self):
+        saved = run.interpreter_start_s
+        run.interpreter_start_s = lambda: 2 * hostspeed.START_NOMINAL_S
+        try:
+            scaled, raw = run.measure_setup("simulate-dyn5", 1)
+        finally:
+            run.interpreter_start_s = saved
+        self.assertAlmostEqual(scaled, raw / 2)
 
 
 class BaselineTableTest(unittest.TestCase):

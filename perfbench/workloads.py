@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from commsched import distsim
+from commsched import distsim, lp
 from commsched.baseline import selfish_schedule
-from commsched.distsim import CycleConfig, ScriptEvent, WorldScript, flooding_time_bound, run_cycles
+from commsched.distsim import CycleConfig, ScriptEvent, WorldScript, run_cycles, state_size_bits
 from commsched.encoder import encode, encode_objective
 from commsched.model import InterferenceSet, Objective, Task, check_schedule, validate_problem
 from commsched.oracle import TooLarge, brute_force
@@ -40,8 +40,17 @@ FLEET_BUDGET = 2000
 
 #: Shared-channel instances: (steps, rate, size) and the sink reward are
 #: fixed, so every seed does about the same search and scores the same; the
-#: seed draws each channel's capacity (one or two links' worth).
-CHANNEL_GRID = tuple((s, r, z) for s in (4, 5) for r, z in ((4, 4), (4, 8), (8, 4), (8, 8)))
+#: seed draws each channel's capacity (one or two links' worth). With a size
+#: no larger than the rate the sink can be served, in 39 nodes at 4 steps
+#: and 95 at 5; at 5-4-8 it cannot, and proving that takes 2,101 nodes. The
+#: group sizes place `op_s_p50` among the 4-step plans and `op_s_tail` among
+#: the 5-step ones (see NOTES.md).
+SERVABLE = tuple((r, z) for r in (4, 8, 12, 16, 20, 24) for z in (4, 8, 12, 16, 20, 24) if z <= r)
+CHANNEL_GRID = (
+    tuple((4, r, z) for r, z in SERVABLE)
+    + tuple((5, r, z) for r, z in SERVABLE[:9])
+    + ((5, 4, 8), (6, 4, 4), (6, 8, 8))
+)
 
 #: Criterion 7's link cut, zone exit and link upgrade, plus an outage of p2
 #: from t=20 to t=50 so that tasks are missed and rescheduled.
@@ -117,6 +126,9 @@ def plan_mix(seed: int) -> list[PlanOp]:
     for steps, rate, size in CHANNEL_GRID:
         sc = shared_channel(steps, rate, size, rate * rng.choice((1, 2)), 10)
         ops.append(PlanOp(f"channel/{steps}-{rate}-{size}", sc.to_text(), True, OPTIMUM_BUDGET))
+    # A seeded order spreads plans of one kind over the pass, so that a slow
+    # spell of the host does not fall on all of them.
+    rng.shuffle(ops)
     return ops
 
 
@@ -198,30 +210,44 @@ def oracle_value(op: PlanOp) -> Fraction | None:
         return None
 
 
-def run_plan(op: PlanOp, tracer=NULL_TRACER) -> Outcome:
-    """Scenario text to a checked Schedule; only this path is timed."""
-    span = tracer.span
-    started = time.perf_counter()
-    with span("bench.plan"):
-        with span("scenarios.parse"):
-            sc = parse_scenario(op.text)
-        with span("scenarios.to_problem"):
-            p = sc.to_problem()
-        with span("model.validate"):
-            report = validate_problem(p)
-        if not report.ok:
-            raise ValueError(f"{op.name}: invalid instance: {report.violations[:3]}")
-        with span("baseline.selfish"):
-            seed = selfish_schedule(p, mode="storage_excepted")
-        with span("encoder.encode"):
-            inst = encode(p, interference=op.interference)
-        with span("encoder.objective"):
-            inst = encode_objective(p, p.objective, inst)
-        with span("solver.solve"):
-            res = solve(inst, seed, SolveBudget(op.budget_nodes))
-        with span("model.check_schedule"):
-            schedule_errors = check_schedule(p, res.incumbent)
-    wall = time.perf_counter() - started
+def run_plan(op: PlanOp, tracer=NULL_TRACER, speed=None) -> Outcome:
+    """Scenario text to a checked Schedule; only this path is timed.
+
+    With a `HostSpeed`, the reference loop is sampled inside the solve, at
+    the LP calls of interference mode, whenever a sample is due; that time
+    is taken out of the operation's wall time.
+    """
+    paused = 0.0
+
+    def on_lp(args, result):
+        nonlocal paused
+        paused += speed.sample_due()
+
+    with Rebinding() as rb:
+        if speed:
+            rb.observe(lp, "solve_lp", on_lp)
+        span = tracer.span
+        started = time.perf_counter()
+        with span("bench.plan"):
+            with span("scenarios.parse"):
+                sc = parse_scenario(op.text)
+            with span("scenarios.to_problem"):
+                p = sc.to_problem()
+            with span("model.validate"):
+                report = validate_problem(p)
+            if not report.ok:
+                raise ValueError(f"{op.name}: invalid instance: {report.violations[:3]}")
+            with span("baseline.selfish"):
+                seed = selfish_schedule(p, mode="storage_excepted")
+            with span("encoder.encode"):
+                inst = encode(p, interference=op.interference)
+            with span("encoder.objective"):
+                inst = encode_objective(p, p.objective, inst)
+            with span("solver.solve"):
+                res = solve(inst, seed, SolveBudget(op.budget_nodes))
+            with span("model.check_schedule"):
+                schedule_errors = check_schedule(p, res.incumbent)
+        wall = time.perf_counter() - started - paused
     plan = _plan(p, inst, seed, res, keep=tracer.enabled)
     errors = [f"check_schedule: {e}" for e in schedule_errors] + check_plan(plan)
     return Outcome(op.name, wall, [plan], errors)
@@ -237,24 +263,30 @@ def run_sim(op: SimOp, tracer=NULL_TRACER, speed=None) -> Outcome:
     The agent plans are captured by observing the names `distsim` calls:
     `encode` gives each agent's instance, `solve` its result. The observer
     keeps a summary of each plan, not the encoding, and every check runs
-    after the timed region. With a `HostSpeed`, the observer also samples
-    the reference loop after each solve; that time is taken out of the
-    operation's wall time.
+    after the timed region. With a `HostSpeed`, the observers also sample
+    the reference loop before and after each solve, whenever a sample is
+    due; that time is taken out of the operation's wall time.
     """
     encoded: list = []
     plans: list[Plan] = []
     schedules: list = []
     paused = 0.0
 
+    def on_encode(args, inst):
+        nonlocal paused
+        encoded.append(args[0])
+        if speed:
+            paused += speed.sample_due()
+
     def on_solve(args, res):
         nonlocal paused
         plans.append(_plan(encoded[-1], args[0], args[1], res, keep=tracer.enabled))
         schedules.append(res.incumbent)
         if speed:
-            paused += speed.sample()
+            paused += speed.sample_due()
 
     with Rebinding() as rb:
-        rb.observe(distsim, "encode", lambda args, result: encoded.append(args[0]))
+        rb.observe(distsim, "encode", on_encode)
         rb.observe(distsim, "solve", on_solve)
         span = tracer.span
         started = time.perf_counter()
@@ -276,7 +308,6 @@ def run_sim(op: SimOp, tracer=NULL_TRACER, speed=None) -> Outcome:
     for r in trace.select(phase="plan", event="digest"):
         digests.setdefault(r.cycle, set()).add(_payload(r)["sha"])
     n_catalog = len(p.agent_ids)
-    bits = 3 * n_catalog + 23
     flood_rounds = messages = 0
     ratios = []
     for r in trace.select(phase="broadcast", event="flood"):
@@ -289,11 +320,9 @@ def run_sim(op: SimOp, tracer=NULL_TRACER, speed=None) -> Outcome:
             rounds = int(kv["rounds"])
             flood_rounds += rounds
             if n > 1:
-                # The trace gives time_s = rounds * n * bits / r_min for the
-                # slowest live link r_min; recover r_min to evaluate the bound.
-                time_s = Fraction(kv["time_s"])
-                r_min = Fraction(rounds * n * bits) / time_s
-                ratios.append(time_s / flooding_time_bound(n, r_min))
+                # Equals time_s / flooding_time_bound(n, r_min): the trace's
+                # time_s is rounds * n * state_size_bits(N) / r_min, so r_min cancels.
+                ratios.append(Fraction(rounds * state_size_bits(n_catalog), (n - 1) * state_size_bits(n)))
     for agent_p, plan, schedule in zip(encoded, plans, schedules):
         with span("model.check_schedule"):
             schedule_errors = check_schedule(agent_p, schedule)
