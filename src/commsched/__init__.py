@@ -36,7 +36,6 @@ from .encoder import (
     IlpInstance,
     InfeasibleAssignment,
     InfeasibleHorizon,
-    ObjectiveSpec,
     assignment_from_schedule,
     check_assignment,
     decode,

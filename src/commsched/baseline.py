@@ -264,12 +264,6 @@ class ComparisonMetrics:
     shared: SideMetrics
     selfish: SideMetrics
 
-    @property
-    def reward_categories(self) -> tuple[str, ...]:
-        names = {name for name, _ in self.shared.count_by_category}
-        names |= {name for name, _ in self.selfish.count_by_category}
-        return tuple(sorted(names))
-
 
 def _side(p: ProblemInstance, s: Schedule) -> SideMetrics:
     by_id = p.network.by_id

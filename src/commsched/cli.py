@@ -92,7 +92,8 @@ def cmd_solve(args) -> int:
         for v in report.violations:
             print(f"invalid scenario: {v}", file=sys.stderr)
         return EXIT_INPUT
-    budget = SolveBudget(args.budget_nodes or sc.cycle.budget.max_nodes)
+    nodes = sc.cycle.budget.max_nodes if args.budget_nodes is None else args.budget_nodes
+    budget = SolveBudget(nodes)
     try:
         seed = _seed_schedule(p)
         inst = encode_objective(p, p.objective, encode(p, interference=args.interference))
@@ -188,7 +189,7 @@ def cmd_benchmark(args) -> int:
     for pattern in args.scenarios:
         matches = sorted(glob.glob(pattern))
         paths.extend(matches if matches else [pattern])
-    budgets = [int(b) for b in str(args.budget_nodes or 2000).split(",")]
+    budgets = args.budget_nodes
     objectives = [args.objective] if args.objective else ["reward", "energy"]
     rows = []
     for path in paths:
@@ -258,6 +259,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive node count")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commsched",
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one scenario and write the schedule")
     ps.add_argument("scenario")
     ps.add_argument("--objective", choices=sorted(OBJECTIVES) + ["weighted"], default=None)
-    ps.add_argument("--budget-nodes", type=int, default=None)
+    ps.add_argument("--budget-nodes", type=_positive_int, default=None)
     ps.add_argument("--interference", action="store_true")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_solve)
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("benchmark", help="shared-vs-selfish benchmark over scenarios")
     pb.add_argument("scenarios", nargs="+")
-    pb.add_argument("--budget-nodes", default=None)
+    pb.add_argument("--budget-nodes", type=_positive_ints, default=[2000])
     pb.add_argument("--objective", choices=sorted(OBJECTIVES), default=None)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_benchmark)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 from . import baseline
 from .encoder import encode, encode_objective
@@ -120,17 +120,6 @@ def flooding_time_bound(num_agents: int, rate_bps) -> Fraction:
     return Fraction(num_agents * (num_agents - 1) * state_size_bits(num_agents)) / rate
 
 
-LinkProvider = Callable[[int], frozenset] | Sequence | frozenset | set
-
-
-def _links_for_round(net: LinkProvider, rnd: int) -> frozenset:
-    if callable(net):
-        return frozenset(net(rnd))
-    if isinstance(net, (set, frozenset)):
-        return frozenset(net)
-    return frozenset(net[min(rnd - 1, len(net) - 1)]) if len(net) else frozenset()
-
-
 @dataclass(frozen=True)
 class FloodResult:
     views: Mapping[str, dict[str, AgentState]]
@@ -138,9 +127,11 @@ class FloodResult:
     messages_sent: int
 
 
-def flood(states: Mapping[str, AgentState], net: LinkProvider, rounds: int) -> FloodResult:
+def flood(
+    states: Mapping[str, AgentState], links: AbstractSet[tuple[str, str]], rounds: int
+) -> FloodResult:
     """Synchronous flooding: each round every agent forwards every message it
-    holds on every available outgoing link, at most once per (message, link).
+    holds on every link (src, dst) of `links`, at most once per (message, link).
 
     Returns the assembled views and the first round after which every agent
     held every state (NOT_REACHED if the budget ran out first).
@@ -152,10 +143,10 @@ def flood(states: Mapping[str, AgentState], net: LinkProvider, rounds: int) -> F
     sent: set[tuple[str, str, str]] = set()  # (origin, src, dst)
     complete_round = None
     messages = 0
+    ordered = sorted(links)
     for rnd in range(1, rounds + 1):
-        links = _links_for_round(net, rnd)
         deliveries: list[tuple[str, str]] = []
-        for src, dst in sorted(links):
+        for src, dst in ordered:
             if src not in views or dst not in views:
                 continue
             for origin in sorted(views[src]):

@@ -34,16 +34,13 @@ from .model import (
 LE = "<="
 EQ = "="
 
-#: Spec alias: the objective selector used by encode_objective.
-ObjectiveSpec = Objective
-
 
 class InfeasibleHorizon(ValueError):
     """A required task cannot finish on any agent within the horizon."""
 
 
 class InfeasibleAssignment(ValueError):
-    """An assignment violates the encoding beyond tolerance."""
+    """An assignment violates the encoding."""
 
 
 @dataclass(frozen=True)
@@ -105,16 +102,6 @@ class IlpInstance:
     @property
     def num_binary(self) -> int:
         return sum(1 for v in self.variables if v.kind == "binary")
-
-    def x_cols_of_task(self, ti: int) -> list[int]:
-        na = len(self.meta.agent_ids)
-        out = []
-        for ai in range(na):
-            for k in range(self.meta.num_steps):
-                col = self.x_index.get((ai, ti, k))
-                if col is not None:
-                    out.append(col)
-        return out
 
 
 def _scale_row(name: str, coeffs: list[tuple[int, Fraction]], sense: str, rhs: Fraction) -> Row:
@@ -403,7 +390,7 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
     )
 
 
-def encode_objective(p: ProblemInstance, spec: ObjectiveSpec, inst: IlpInstance) -> IlpInstance:
+def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> IlpInstance:
     """Install an objective (maximize) onto a base encoding."""
     meta = inst.meta
     weights = spec.weight_vector()
@@ -462,34 +449,28 @@ def encode_objective(p: ProblemInstance, spec: ObjectiveSpec, inst: IlpInstance)
     )
 
 
-def check_assignment(
-    inst: IlpInstance, values: Mapping[int, Fraction], tol: Fraction = Fraction(1, 10**6)
-) -> list[str]:
-    """Violations of bounds, integrality, and rows; empty list means feasible."""
+def check_assignment(inst: IlpInstance, values: Mapping[int, Fraction]) -> list[str]:
+    """Violations of bounds, integrality, and rows; empty list means feasible.
+
+    Every value is an exact rational, so every comparison is exact.
+    """
     errors = []
     vals = [Fraction(0)] * len(inst.variables)
     for col, v in values.items():
         vals[col] = frac(v)
     for col, var in enumerate(inst.variables):
         v = vals[col]
-        if var.kind == "binary":
-            if v not in (0, 1):
-                errors.append(f"{var.name}: binary value {v} is not exactly 0/1")
-            elif not (var.lb <= v <= var.ub):
-                errors.append(f"{var.name}: value {v} outside bounds [{var.lb},{var.ub}]")
-        else:
-            if v < var.lb - tol or v > var.ub + tol:
-                errors.append(f"{var.name}: value {v} outside bounds [{var.lb},{var.ub}]")
+        if var.kind == "binary" and v not in (0, 1):
+            errors.append(f"{var.name}: binary value {v} is not exactly 0/1")
+        elif not var.lb <= v <= var.ub:
+            errors.append(f"{var.name}: value {v} outside bounds [{var.lb},{var.ub}]")
     for row in inst.rows:
         act = sum(a * vals[col] for col, a in row.coeffs)
-        has_continuous = any(inst.variables[col].kind == "continuous" for col, _ in row.coeffs)
-        slack = tol * max((abs(a) for _, a in row.coeffs), default=1) if has_continuous else 0
         if row.sense == LE:
-            if act > row.rhs + slack:
+            if act > row.rhs:
                 errors.append(f"row {row.name}: activity {act} > {row.rhs}")
-        else:
-            if abs(act - row.rhs) > slack:
-                errors.append(f"row {row.name}: activity {act} != {row.rhs}")
+        elif act != row.rhs:
+            errors.append(f"row {row.name}: activity {act} != {row.rhs}")
     return errors
 
 

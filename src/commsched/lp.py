@@ -124,10 +124,3 @@ def solve_lp(
         if basis[r] < num_vars:
             values[basis[r]] = tableau[r][-1]
     return values
-
-
-def feasible(
-    num_vars: int,
-    constraints: Sequence[tuple[Mapping[int, Fraction], str, Fraction]],
-) -> bool:
-    return solve_lp(num_vars, constraints) is not None

@@ -497,14 +497,6 @@ def comm_duration(
     return INFEASIBLE
 
 
-def transfer_steps(p: ProblemInstance, src: str, dst: str, size: RationalLike, start_step: int):
-    """comm_duration over a problem's contact graph; self-loops take 0 steps."""
-    if src == dst:
-        return 0
-    profile = p.contacts.profile(src, dst, p.horizon.num_steps)
-    return comm_duration(size, profile, p.horizon.step_duration, start_step)
-
-
 def validate_problem(p: ProblemInstance) -> ValidationReport:
     """Check admissibility; an empty report means the instance is usable."""
     violations: list[str] = []
@@ -546,7 +538,7 @@ def validate_problem(p: ProblemInstance) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def check_schedule(p: ProblemInstance, s: Schedule, check_interference: bool = True) -> list[str]:
+def check_schedule(p: ProblemInstance, s: Schedule) -> list[str]:
     """Independent semantic check of a schedule against the problem rules.
 
     Simulates holdings step by step (no ILP involved) and reports violations:
@@ -667,7 +659,7 @@ def check_schedule(p: ProblemInstance, s: Schedule, check_interference: bool = T
             if ready is None or ready > pl.start:
                 errors.append(f"task {pl.task} on {pl.agent}: predecessor {pred} not available at step {pl.start}")
 
-    if check_interference and p.contacts.interference_sets:
+    if p.contacts.interference_sets:
         per_step: dict[tuple[int, int], Fraction] = {}
         for c in s.comms:
             for idx, bits in enumerate(c.bits_per_step):

@@ -429,6 +429,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         if section == "[AGENTS]":
             if kind == "agent":
                 kv = _kv(parts[1:], {"id", "base", "capability", "pos"}, ln)
+                capability = int(kv.get("capability", "7"))
+                if not 0 <= capability <= 7:
+                    raise ScenarioFormatError(f"{ln}: capability {capability} is not a level 0-7")
                 track = []
                 for chunk in kv.get("pos", "").split(";"):
                     if not chunk:
@@ -441,7 +444,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                         kv["id"],
                         tuple(track),
                         base=kv.get("base", "0") == "1",
-                        capability=int(kv.get("capability", "7")),
+                        capability=capability,
                     )
                 )
             elif kind == "cost":
@@ -602,14 +605,6 @@ def generate_random(
         script=WorldScript(),
         interference=(),
         comm_energy_per_bit=Fraction(0),
-    )
-
-
-def _simple_task(tid, *, required, reward=0, size=0, preds=(), category="", cost_map):
-    return (
-        Task(tid, required=required, reward=reward, product_size=size,
-             predecessors=set(preds), category=category),
-        cost_map,
     )
 
 

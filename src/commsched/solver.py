@@ -9,6 +9,16 @@ which is the property the distributed planning cycle relies on.
 Storage-flag (D) columns are never branched: once every X and C column is
 decided, propagation has fixed each D that matters and the rest complete to
 0, which is always row-feasible and objective-neutral.
+
+A fully branched node therefore needs no re-check. At the propagation
+fixpoint every row over binary columns alone holds with the open D columns
+at 0: such a row has at most one open column with a negative coefficient,
+and the fixpoint leaves it open only if the row holds without it. The
+`mks` rows hold because z is set to the largest completion. That leaves the
+rows with a bit-flow (R) column, which propagation sees only at R's static
+bounds; in interference mode the leaf completion decides them, as constants
+when none of their R columns is active and through the exact LP otherwise.
+The seed is checked once on entry and the answer once by `decode`.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from typing import Mapping
 from . import lp
 from .encoder import IlpInstance, assignment_from_schedule, check_assignment, decode
 from .model import Schedule, frac
-from .oracle import TooLarge, brute_force  # noqa: F401  (solving surface includes the oracle)
 
 NEG_INF = float("-inf")
 
@@ -43,7 +52,6 @@ class SolveBudget:
     """Deterministic stopping criterion: a fixed number of search nodes."""
 
     max_nodes: int
-    wall_clock_s: float | None = None  # reporting only, never affects search
 
     def __post_init__(self):
         if self.max_nodes < 1:
@@ -91,9 +99,11 @@ class _Search:
         m = len(inst.rows)
         self.amin: list = [0] * m
         self.amax: list = [0] * m
+        self.r_rows: list[int] = []  # rows holding an R column, in row order
         for ri, row in enumerate(inst.rows):
             cols, coefs = [], []
             lo = hi = 0
+            has_r = False
             for col, a in row.coeffs:
                 if self.is_binary[col]:
                     cols.append(col)
@@ -107,9 +117,12 @@ class _Search:
                         lo += a * s
                         hi += a * s
                 else:
+                    has_r = has_r or col != inst.z_col  # the other continuous columns are R
                     v = inst.variables[col]
                     lo += min(a * v.lb, a * v.ub)
                     hi += max(a * v.lb, a * v.ub)
+            if has_r:
+                self.r_rows.append(ri)
             self.row_cols.append(cols)
             self.row_coefs.append(coefs)
             self.row_eq.append(row.sense == "=")
@@ -122,23 +135,19 @@ class _Search:
         self.in_queue = bytearray([1]) * m
 
         self.obj = dict(inst.objective)
-        self.x_by_task: dict[int, list[tuple[int, int, Fraction]]] = {}
-        self.x_info: dict[int, tuple[int, int, Fraction]] = {}
+        # Objective over the binary columns fixed to 1.
+        self.obj_fixed = sum(
+            (self.obj.get(col, Fraction(0)) for col in range(n) if self.state[col] == 1),
+            Fraction(0),
+        )
+        self.x_by_task: dict[int, list[tuple[int, int]]] = {}
+        self.x_info: dict[int, tuple[int, int]] = {}
         for (ai, ti, k), col in inst.x_index.items():
             completion = k + meta.durations[ai][ti]
-            energy = meta.energies[ai][ti]
-            self.x_by_task.setdefault(ti, []).append((col, completion, energy))
-            self.x_info[col] = (ti, completion, energy)
-        self.c_energy: dict[int, Fraction] = {}
-        if meta.comm_energy_per_bit > 0 and not meta.interference_mode:
-            for (ai, aj, ti, k), col in inst.c_index.items():
-                bits = meta.link_bits.get((ai, aj, k), Fraction(0))
-                if ai != aj and bits > 0:
-                    self.c_energy[col] = meta.comm_energy_per_bit * bits
+            self.x_by_task.setdefault(ti, []).append((col, completion))
+            self.x_info[col] = (ti, completion)
         self.alive_x = {ti: len(cols) for ti, cols in self.x_by_task.items()}
         self.placed: dict[int, int | None] = {ti: None for ti in self.x_by_task}
-        self.sum_reward = Fraction(0)
-        self.sum_energy = Fraction(0)
         self.max_completion = 0
         self.optional = sorted(
             ti for ti in self.x_by_task if ti not in meta.required and meta.rewards[ti] > 0
@@ -163,16 +172,14 @@ class _Search:
                 self.queue.append(ri)
         info = self.x_info.get(col)
         if value == 1:
+            c = self.obj.get(col)
+            if c:
+                self.obj_fixed += c
             if info is not None:
-                ti, completion, energy = info
+                ti, completion = info
                 self.placed[ti] = col
-                self.sum_reward += self.inst.meta.rewards[ti]
-                self.sum_energy += energy
                 if completion > self.max_completion:
                     self.max_completion = completion
-            ce = self.c_energy.get(col)
-            if ce:
-                self.sum_energy += ce
         elif info is not None:
             self.alive_x[info[0]] -= 1
         return True
@@ -189,14 +196,11 @@ class _Search:
                 self.amax[ri] -= contrib - hi
             info = self.x_info.get(col)
             if value == 1:
+                c = self.obj.get(col)
+                if c:
+                    self.obj_fixed -= c
                 if info is not None:
-                    ti, _, energy = info
-                    self.placed[ti] = None
-                    self.sum_reward -= self.inst.meta.rewards[ti]
-                    self.sum_energy -= energy
-                ce = self.c_energy.get(col)
-                if ce:
-                    self.sum_energy -= ce
+                    self.placed[info[0]] = None
             elif info is not None:
                 self.alive_x[info[0]] += 1
         self.queue.clear()
@@ -260,31 +264,32 @@ class _Search:
         """Admissible upper bound on any completion of the current fixing."""
         meta = self.inst.meta
         w = self.weights
-        total = Fraction(0)
+        total = self.obj_fixed
         if w["reward"] > 0:
-            rew = self.sum_reward
+            rew = Fraction(0)
             for ti in self.optional:
                 if self.placed[ti] is None and self.alive_x[ti] > 0:
                     rew += meta.rewards[ti]
             total += w["reward"] * rew
         if w["energy"] > 0:
-            energy = self.sum_energy
+            # A required task earns no reward, so its X coefficients are
+            # minus weighted energies: an open one adds its cheapest live one.
             for ti in self.required_open:
                 if self.placed.get(ti) is None:
                     best = None
-                    for col, _, e in self.x_by_task.get(ti, ()):
-                        if self.state[col] != 0 and (best is None or e < best):
-                            best = e
+                    for col, _ in self.x_by_task.get(ti, ()):
+                        c = self.obj.get(col, Fraction(0))
+                        if self.state[col] != 0 and (best is None or c > best):
+                            best = c
                     if best is None:
                         return NEG_INF
-                    energy += best
-            total -= w["energy"] * energy
+                    total += best
         if w["makespan"] > 0:
             horizon = self.max_completion
             for ti in self.required_open:
                 if self.placed.get(ti) is None:
                     best = None
-                    for col, completion, _ in self.x_by_task.get(ti, ()):
+                    for col, completion in self.x_by_task.get(ti, ()):
                         if self.state[col] != 0 and (best is None or completion < best):
                             best = completion
                     if best is None:
@@ -304,15 +309,17 @@ class _Search:
                 values[col] = Fraction(1) if self.state[col] == 1 else Fraction(0)
         if inst.z_col is not None:
             values[inst.z_col] = Fraction(self.max_completion)
-        if inst.meta.interference_mode:
-            if not self._complete_r(values):
-                return None
-        if check_assignment(inst, values, tol=Fraction(0)):
+        if inst.meta.interference_mode and not self._complete_r(values):
             return None
         return values
 
     def _complete_r(self, values: dict[int, Fraction]) -> bool:
-        """Pick bit-flow values for active transfer steps via the exact LP."""
+        """Pick bit-flow values for active transfer steps via the exact LP.
+
+        False when some row with an R column cannot hold: a row with no
+        active R is a constant and is checked at once, the others constrain
+        the LP.
+        """
         inst = self.inst
         active = [
             col
@@ -326,14 +333,17 @@ class _Search:
         cons = []
         for col in active:
             cons.append(({var_of[col]: Fraction(1)}, lp.LE, inst.variables[col].ub))
-        for row in inst.rows:
+        for ri in self.r_rows:
+            row = inst.rows[ri]
             rcols = [(c, a) for c, a in row.coeffs if c in var_of]
-            if not rcols:
-                continue
             const = sum(
-                (Fraction(a) * values.get(c, Fraction(0)) for c, a in row.coeffs if c not in var_of),
+                (Fraction(a) * values[c] for c, a in row.coeffs if c not in var_of),
                 Fraction(0),
             )
+            if not rcols:
+                if const > row.rhs or (row.sense == "=" and const != row.rhs):
+                    return False
+                continue
             coeffs = {var_of[c]: Fraction(a) for c, a in rcols}
             sense = lp.EQ if row.sense == "=" else lp.LE
             cons.append((coeffs, sense, Fraction(row.rhs) - const))
@@ -406,7 +416,7 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
     tie-breaks, and the stopping rule are all deterministic.
     """
     seed_assignment = assignment_from_schedule(inst, seed)
-    errors = check_assignment(inst, seed_assignment, tol=Fraction(0))
+    errors = check_assignment(inst, seed_assignment)
     if errors:
         raise InfeasibleSeed("; ".join(errors[:5]))
 
@@ -463,13 +473,10 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
         else:
             break
 
-    if status == "optimal" or not levels:
-        best_bound = inc_value
-    else:
-        best_bound = inc_value
-        for lev in levels:
-            if lev.parent_bound != NEG_INF and lev.parent_bound > best_bound:
-                best_bound = lev.parent_bound
+    best_bound = inc_value  # an optimal search leaves no open level
+    for lev in levels:
+        if lev.parent_bound != NEG_INF and lev.parent_bound > best_bound:
+            best_bound = lev.parent_bound
 
     inc_values = _strip_idle_transfers(inst, dict(inc_values))
     incumbent = decode(None, inst, inc_values)
@@ -482,17 +489,23 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
     )
 
 
+def _propagated(inst: IlpInstance, fixing: Mapping[int, int]) -> _Search | None:
+    """A search state with `fixing` applied and propagated; None on conflict."""
+    search = _Search(inst)
+    for col in sorted(fixing):
+        if not search.fix(col, int(fixing[col])):
+            return None
+    return search if search.propagate_pending() else None
+
+
 def propagate(inst: IlpInstance, fixing: Mapping[int, int]):
     """Fixpoint of bound propagation from a partial fixing, or CONFLICT.
 
     The returned mapping covers every binary column decided so far,
     including the ones given in `fixing`.
     """
-    search = _Search(inst)
-    for col in sorted(fixing):
-        if not search.fix(col, int(fixing[col])):
-            return CONFLICT
-    if not search.propagate_pending():
+    search = _propagated(inst, fixing)
+    if search is None:
         return CONFLICT
     return {
         col: search.state[col]
@@ -503,10 +516,5 @@ def propagate(inst: IlpInstance, fixing: Mapping[int, int]):
 
 def bound(inst: IlpInstance, fixing: Mapping[int, int]):
     """Admissible upper bound under a partial fixing; -inf when infeasible."""
-    search = _Search(inst)
-    for col in sorted(fixing):
-        if not search.fix(col, int(fixing[col])):
-            return NEG_INF
-    if not search.propagate_pending():
-        return NEG_INF
-    return search.bound()
+    search = _propagated(inst, fixing)
+    return NEG_INF if search is None else search.bound()

@@ -68,6 +68,26 @@ class TestSolve:
     def test_missing_file_exits_2(self):
         assert main(["solve", "/nonexistent.scn"]) == 2
 
+    @pytest.mark.parametrize("nodes", ["-5", "0", "many"])
+    def test_bad_budget_exits_2(self, capsys, scenario_file, nodes):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", scenario_file("min.scn", MINIMAL), "--budget-nodes", nodes])
+        assert exc.value.code == 2
+        assert "--budget-nodes" in capsys.readouterr().err
+
+    def test_budget_overrides_scenario(self, tmp_path, scenario_file, capsys):
+        rc = main(["solve", scenario_file("min.scn", MINIMAL), "--budget-nodes", "1",
+                   "--out", str(tmp_path / "r.txt")])
+        assert rc == 0
+        assert "nodes=1 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("level", ["9", "-1"])
+    def test_capability_outside_3_bits_exits_2(self, capsys, scenario_file, command, level):
+        text = MINIMAL.replace("capability=7", f"capability={level}")
+        assert main([command, scenario_file("cap.scn", text)]) == 2
+        assert "capability" in capsys.readouterr().err
+
     def test_objective_override(self, tmp_path, scenario_file):
         out = tmp_path / "r.txt"
         rc = main(["solve", scenario_file("min.scn", MINIMAL), "--objective", "reward",
@@ -122,6 +142,12 @@ class TestBenchmark:
             assert row["error"] == ""
             assert row["shared_value"] == row["selfish_value"] == "0"
             assert row["collected_shared"] == row["collected_selfish"] == "0"
+
+    @pytest.mark.parametrize("nodes", ["0", "500,-1", "x"])
+    def test_bad_budget_list_exits_2(self, scenario_file, nodes):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", scenario_file("min.scn", MINIMAL), "--budget-nodes", nodes])
+        assert exc.value.code == 2
 
     def test_broken_scenario_goes_to_error_column(self, tmp_path, scenario_file):
         bad = scenario_file("bad.scn", "not a scenario\n")

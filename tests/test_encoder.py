@@ -27,7 +27,7 @@ from commsched import (
 from commsched.baseline import selfish_schedule
 from commsched.encoder import assignment_from_schedule
 
-from helpers import random_instance
+from helpers import interference_instance, random_instance
 
 
 def grid_instance(na: int, nt: int, steps: int) -> ProblemInstance:
@@ -229,11 +229,22 @@ class TestDecode:
         with pytest.raises(InfeasibleAssignment):
             decode(p2, inst2, values)
 
+    def test_bound_violation_is_exact(self):
+        p = interference_instance(0)
+        inst = encode_objective(p, p.objective, encode(p, interference=True))
+        col = next(c for c in sorted(inst.r_index.values()) if inst.variables[c].ub > 0)
+        var = inst.variables[col]
+        values = assignment_from_schedule(inst, selfish_schedule(p))
+        assert not check_assignment(inst, values)
+        values[col] = var.ub + Fraction(1, 10**9)
+        errors = check_assignment(inst, values)
+        assert f"{var.name}: value {values[col]} outside bounds [0,{var.ub}]" in errors
+
     def test_round_trip_through_schedule(self):
         p, inst = self.decode_setup()
         sched = brute_force(p)
         values = assignment_from_schedule(inst, sched)
-        assert not check_assignment(inst, values, tol=Fraction(0))
+        assert not check_assignment(inst, values)
         again = decode(p, inst, values)
         assert again.placements == sched.placements
         assert not check_schedule(p, again)

@@ -165,6 +165,15 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("level", ["9", "8", "-1"])
+    def test_capability_outside_3_bits_rejected(self, level):
+        text = canned_scenario("relay").to_text().replace(
+            "agent id=relay base=0 capability=7", f"agent id=relay base=0 capability={level}", 1
+        )
+        assert text != canned_scenario("relay").to_text()
+        with pytest.raises(ScenarioFormatError, match="capability"):
+            parse_scenario(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario("[AGENTS]\n")

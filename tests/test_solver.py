@@ -1,7 +1,10 @@
 """Branch-and-bound: determinism, anytime behavior, propagation, bounds."""
 
+from dataclasses import replace
+
 import pytest
 
+import commsched.solver
 from commsched import (
     AgentProfile,
     CONFLICT,
@@ -23,9 +26,10 @@ from commsched import (
 )
 from commsched.baseline import selfish_schedule
 from commsched.model import Placement
+from commsched.scenarios import canned_scenario
 from commsched.solver import NEG_INF
 
-from helpers import random_instance
+from helpers import interference_instance, random_instance
 
 
 def single_slot_problem():
@@ -115,6 +119,32 @@ class TestSolve:
         res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(200000))
         assert res.status == "optimal"
         assert res.incumbent_value == brute_force(p).objective_value
+
+    @pytest.mark.parametrize("case", ["makespan", "reward", "interference"])
+    def test_checks_only_the_seed(self, monkeypatch, case):
+        # Leaves are proven by propagation and the leaf LP; the answer is
+        # checked by decode, whose own call does not go through this name.
+        if case == "makespan":
+            p, interference = offload_problem()[0], False
+        elif case == "reward":
+            sc = canned_scenario("science_cluster")
+            p, interference = replace(sc.to_problem(), objective=Objective.reward()), False
+        else:
+            p, interference = interference_instance(0), True
+        calls = []
+        original = commsched.solver.check_assignment
+
+        def counting(inst, values):
+            calls.append(values)
+            return original(inst, values)
+
+        monkeypatch.setattr(commsched.solver, "check_assignment", counting)
+        inst = encode_objective(p, p.objective, encode(p, interference=interference))
+        seed = selfish_schedule(p, mode="storage_excepted")
+        res = solve(inst, seed, SolveBudget(200000))
+        assert res.status == "optimal"
+        assert res.nodes_explored > 1
+        assert len(calls) == 1
 
 
 class TestPropagate:
