@@ -15,6 +15,7 @@ import glob
 import io
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import baseline, distsim, render, scenarios
@@ -60,22 +61,27 @@ OBJECTIVES = {
 }
 
 
-def _load_scenario(path: str) -> scenarios.ScenarioFile:
-    return scenarios.parse_scenario(Path(path).read_text())
-
-
-def _prepare(path: str, objective: str | None):
-    sc = _load_scenario(path)
+def _load(path: str, objective: str | None):
+    sc = scenarios.parse_scenario(Path(path).read_text())
     p = sc.to_problem()
     if objective == "weighted":
         if p.objective.kind != "weighted":
             raise ValueError("--objective weighted needs a weighted objective in the scenario")
     elif objective:
-        from dataclasses import replace
-
         p = replace(p, objective=OBJECTIVES[objective]())
-    report = validate_problem(p)
-    return sc, p, report
+    return sc, p, validate_problem(p)
+
+
+def _prepare(path: str, objective: str | None):
+    """(scenario, problem) ready to plan, or None once the reason is printed."""
+    try:
+        sc, p, report = _load(path, objective)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    for v in report.violations:
+        print(f"invalid scenario: {v}", file=sys.stderr)
+    return (sc, p) if report.ok else None
 
 
 def _seed_schedule(p):
@@ -83,15 +89,10 @@ def _seed_schedule(p):
 
 
 def cmd_solve(args) -> int:
-    try:
-        sc, p, report = _prepare(args.scenario, args.objective)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    prepared = _prepare(args.scenario, args.objective)
+    if prepared is None:
         return EXIT_INPUT
-    if not report.ok:
-        for v in report.violations:
-            print(f"invalid scenario: {v}", file=sys.stderr)
-        return EXIT_INPUT
+    sc, p = prepared
     nodes = sc.cycle.budget.max_nodes if args.budget_nodes is None else args.budget_nodes
     budget = SolveBudget(nodes)
     try:
@@ -117,15 +118,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        sc, p, report = _prepare(args.scenario, None)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    prepared = _prepare(args.scenario, None)
+    if prepared is None:
         return EXIT_INPUT
-    if not report.ok:
-        for v in report.violations:
-            print(f"invalid scenario: {v}", file=sys.stderr)
-        return EXIT_INPUT
+    sc, p = prepared
     trace = distsim.run_cycles(p, sc.script, sc.cycle, args.cycles, sc.capabilities())
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -151,7 +147,7 @@ def _benchmark_row(path: str, objective_name: str, budget_nodes: int) -> dict:
     row.update(scenario=path, objective=objective_name, budget_nodes=budget_nodes)
     started = time.perf_counter()
     try:
-        sc, p, report = _prepare(path, objective_name)
+        _, p, report = _load(path, objective_name)
         if not report.ok:
             raise ValueError("; ".join(report.violations))
         selfish = _seed_schedule(p)
@@ -227,15 +223,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        sc, p, report = _prepare(args.scenario, args.objective)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    prepared = _prepare(args.scenario, args.objective)
+    if prepared is None:
         return EXIT_INPUT
-    if not report.ok:
-        for v in report.violations:
-            print(f"invalid scenario: {v}", file=sys.stderr)
-        return EXIT_INPUT
+    _, p = prepared
     try:
         inst = encode_objective(p, p.objective, encode(p, interference=args.interference))
     except InfeasibleHorizon as exc:
@@ -250,7 +241,11 @@ def cmd_export(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    sc = scenarios.generate_random(args.agents, args.science_fraction, args.samples, args.seed)
+    try:
+        sc = scenarios.generate_random(args.agents, args.science_fraction, args.samples, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     text = sc.to_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -265,7 +260,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive node count")
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
     return value
 
 
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("simulate", help="run the broadcast-plan-execute simulation")
     pm.add_argument("scenario")
-    pm.add_argument("--cycles", type=int, default=3)
+    pm.add_argument("--cycles", type=_positive_int, default=3)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
 

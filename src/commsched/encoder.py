@@ -12,6 +12,12 @@ Busy-interval convention: a task started at step k with duration c occupies
 steps k..k+c-1 (zero-duration tasks still occupy their start slot) and its
 product becomes usable at step k+c. Rows are integer-scaled so that search
 and propagation stay in exact integer arithmetic.
+
+Number rule: an integral quantity (a 0/1 value, a binary bound, a unit
+coefficient, a step count such as z) is an `int`; `Fraction` appears only
+where a value can be non-integral: bit-flow (R) values and bounds, link
+bits and objective coefficients. An assignment maps columns to values and
+lists only the columns it sets; a column that is absent is 0.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ class InfeasibleAssignment(ValueError):
 class Variable:
     name: str
     kind: str  # "binary" | "continuous"
-    lb: Fraction
-    ub: Fraction
+    lb: int | Fraction
+    ub: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,10 @@ class IlpInstance:
         return sum(1 for v in self.variables if v.kind == "binary")
 
 
-def _scale_row(name: str, coeffs: list[tuple[int, Fraction]], sense: str, rhs: Fraction) -> Row:
-    denom = rhs.denominator
-    for _, a in coeffs:
-        denom = denom * a.denominator // math.gcd(denom, a.denominator)
+def _scale_row(
+    name: str, coeffs: list[tuple[int, int | Fraction]], sense: str, rhs: int | Fraction
+) -> Row:
+    denom = math.lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
     scaled = tuple((col, int(a * denom)) for col, a in coeffs if a != 0)
     return Row(name, scaled, sense, int(rhs * denom))
 
@@ -196,7 +202,7 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
     d_index: dict[tuple[int, int, int], int] = {}
     r_index: dict[tuple[int, int, int, int], int] = {}
 
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = 0, 1
     # Chronological column order: all start and transfer decisions of step k
     # come before those of step k+1, so a depth-first dive over the canonical
     # order builds schedules step by step and propagation can resolve every
@@ -278,7 +284,7 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
     # One activity per agent per step (computing, sending, or receiving).
     for ai in range(na):
         for k in range(steps):
-            cols: list[tuple[int, Fraction]] = []
+            cols: list[tuple[int, int]] = []
             for ti in range(nt):
                 for aj in range(na):
                     if aj == ai:
@@ -301,7 +307,7 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
         size = sizes[ti]
         for ai in range(na):
             for k in range(steps - 1):
-                coeffs: list[tuple[int, Fraction]] = [
+                coeffs: list[tuple[int, int | Fraction]] = [
                     (d_index[(ai, ti, k + 1)], one),
                     (d_index[(ai, ti, k)], -one),
                 ]
@@ -423,18 +429,16 @@ def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> 
     if weights["makespan"] > 0:
         if z_col is None:
             z_col = len(variables)
-            variables.append(
-                Variable("z", "continuous", Fraction(0), Fraction(meta.num_steps))
-            )
+            variables.append(Variable("z", "continuous", 0, meta.num_steps))
         for (ai, ti, k), col in inst.x_index.items():
             completion = k + meta.durations[ai][ti]
             if completion > 0:
                 rows.append(
                     _scale_row(
                         f"mks_{ti}_{ai}_{k}",
-                        [(col, Fraction(completion)), (z_col, Fraction(-1))],
+                        [(col, completion), (z_col, -1)],
                         LE,
-                        Fraction(0),
+                        0,
                     )
                 )
         add(z_col, -weights["makespan"])
@@ -449,15 +453,17 @@ def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> 
     )
 
 
-def check_assignment(inst: IlpInstance, values: Mapping[int, Fraction]) -> list[str]:
+def check_assignment(inst: IlpInstance, values: Mapping[int, int | Fraction]) -> list[str]:
     """Violations of bounds, integrality, and rows; empty list means feasible.
 
-    Every value is an exact rational, so every comparison is exact.
+    A column absent from `values` is 0. An `int` value is used as it is and
+    any other value is coerced with `frac` (a float exactly as its nearest
+    small-denominator rational), so every comparison is exact.
     """
     errors = []
-    vals = [Fraction(0)] * len(inst.variables)
+    vals: list[int | Fraction] = [0] * len(inst.variables)
     for col, v in values.items():
-        vals[col] = frac(v)
+        vals[col] = v if type(v) is int else frac(v)
     for col, var in enumerate(inst.variables):
         v = vals[col]
         if var.kind == "binary" and v not in (0, 1):
@@ -474,26 +480,22 @@ def check_assignment(inst: IlpInstance, values: Mapping[int, Fraction]) -> list[
     return errors
 
 
-def decode(
-    p: ProblemInstance | None, inst: IlpInstance, assignment: Mapping[int, Fraction]
-) -> Schedule:
+def decode(inst: IlpInstance, values: Mapping[int, int | Fraction]) -> Schedule:
     """Turn a feasible assignment back into a Schedule.
 
     Comm events are maximal runs of consecutive active steps on one link for
     one product; per-step bits come from the link rates (or the R variables
-    in interference mode). The instance's meta tables carry everything
-    needed, so `p` is accepted for interface symmetry only.
+    in interference mode).
     """
-    errors = check_assignment(inst, assignment)
+    errors = check_assignment(inst, values)
     if errors:
         raise InfeasibleAssignment("; ".join(errors[:5]))
     meta = inst.meta
-    vals = {col: frac(v) for col, v in assignment.items() if v}
 
     placements = []
     makespan = 0
     for (ai, ti, k), col in inst.x_index.items():
-        if vals.get(col):
+        if values.get(col):
             placements.append(Placement(meta.agent_ids[ai], meta.task_ids[ti], k))
             makespan = max(makespan, k + meta.durations[ai][ti])
 
@@ -507,12 +509,12 @@ def decode(
                 run_start = None
                 bits: list[Fraction] = []
                 for k in range(meta.num_steps + 1):
-                    active = k < meta.num_steps and bool(vals.get(inst.c_index[(ai, aj, ti, k)]))
+                    active = k < meta.num_steps and bool(values.get(inst.c_index[(ai, aj, ti, k)]))
                     if active:
                         if run_start is None:
                             run_start = k
                         if meta.interference_mode:
-                            bits.append(vals.get(inst.r_index[(ai, aj, ti, k)], Fraction(0)))
+                            bits.append(values.get(inst.r_index[(ai, aj, ti, k)], 0))
                         else:
                             bits.append(meta.link_bits.get((ai, aj, k), Fraction(0)))
                     elif run_start is not None:
@@ -528,17 +530,16 @@ def decode(
                         )
                         run_start, bits = None, []
 
-    value = sum((coef * vals.get(col, Fraction(0)) for col, coef in inst.objective.items()), Fraction(0))
+    value = sum((coef * values.get(col, 0) for col, coef in inst.objective.items()), Fraction(0))
     return Schedule(tuple(placements), tuple(comms), value, makespan)
 
 
-def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, Fraction]:
+def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, int | Fraction]:
     """Column values realizing a schedule (holding flags set as early as valid)."""
     meta = inst.meta
     aindex = {a: i for i, a in enumerate(meta.agent_ids)}
     tindex = {t: i for i, t in enumerate(meta.task_ids)}
-    values: dict[int, Fraction] = {}
-    one = Fraction(1)
+    values: dict[int, int | Fraction] = {}
 
     available: dict[tuple[int, int], int] = {}
     for (ai, ti) in meta.held0:
@@ -551,7 +552,7 @@ def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, Fracti
             raise InfeasibleAssignment(
                 f"placement {pl.task} on {pl.agent} at {pl.start} has no column"
             )
-        values[col] = one
+        values[col] = 1
         ready = max(pl.start + meta.durations[ai][ti], 1)
         key = (ai, ti)
         available[key] = min(available.get(key, ready), ready)
@@ -565,7 +566,7 @@ def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, Fracti
             k = c.start + idx
             live = (ai, aj, k) in meta.link_bits
             if live:  # dead steps inside an event move no bits; their C is pinned 0
-                values[inst.c_index[(ai, aj, ti, k)]] = one
+                values[inst.c_index[(ai, aj, ti, k)]] = 1
                 if meta.interference_mode and bits > 0:
                     values[inst.r_index[(ai, aj, ti, k)]] = bits
             acc += bits
@@ -577,14 +578,14 @@ def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, Fracti
 
     for (ai, ti), since in available.items():
         for k in range(since, meta.num_steps):
-            values[inst.d_index[(ai, ti, k)]] = one
+            values[inst.d_index[(ai, ti, k)]] = 1
 
     if inst.z_col is not None:
-        values[inst.z_col] = Fraction(s.makespan_steps)
+        values[inst.z_col] = s.makespan_steps
     return values
 
 
-def _fmt_num(x: Fraction) -> str:
+def _fmt_num(x: int | Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     twos = fives = 0

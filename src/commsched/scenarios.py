@@ -269,7 +269,6 @@ class ScenarioFile:
     script: WorldScript
     interference: tuple[InterferenceSet, ...]
     comm_energy_per_bit: Fraction
-    version: int = 1
 
     @property
     def base_agent(self) -> str | None:
@@ -578,6 +577,10 @@ def generate_random(
     network. A pure function of its arguments."""
     if not 2 <= num_agents <= 50:
         raise ValueError("num_agents must be in [2, 50]")
+    if not 0 <= science_fraction <= 1:
+        raise ValueError("science_fraction must be in [0, 1]")
+    if samples_per_zone < 0:
+        raise ValueError("samples_per_zone must not be negative")
     rng = random.Random(seed)
     num_rovers = num_agents - 1
     rover_ids = [f"p{r}" for r in range(1, num_rovers + 1)]

@@ -2,9 +2,11 @@
 
 The search dives depth-first over the canonical (chronological) column
 order, branching 1-before-0, with integer bound propagation and
-combinatorial admissible bounds. Everything is exact rational arithmetic:
-two solver instances given identical inputs return bit-identical results,
-which is the property the distributed planning cycle relies on.
+combinatorial admissible bounds. Everything is exact arithmetic, in `int`
+for 0/1 values and step counts and in `Fraction` for bit flows and the
+objective: two solver instances given identical inputs return bit-identical
+results, which is the property the distributed planning cycle relies on.
+Assignments list only the columns they set; an absent column is 0.
 
 Storage-flag (D) columns are never branched: once every X and C column is
 decided, propagation has fixed each D that matters and the rest complete to
@@ -89,7 +91,7 @@ class _Search:
         self.state = [-1] * n
         for col, v in enumerate(inst.variables):
             if self.is_binary[col] and v.lb == v.ub:
-                self.state[col] = int(v.lb)
+                self.state[col] = v.lb
 
         self.row_cols: list[list[int]] = []
         self.row_coefs: list[list[int]] = []
@@ -300,20 +302,17 @@ class _Search:
 
     # -- leaves -----------------------------------------------------------
 
-    def leaf_assignment(self) -> dict[int, Fraction] | None:
+    def leaf_assignment(self) -> dict[int, int | Fraction] | None:
         """Complete a fully-branched node into an exact assignment."""
         inst = self.inst
-        values: dict[int, Fraction] = {}
-        for col in range(len(inst.variables)):
-            if self.is_binary[col]:
-                values[col] = Fraction(1) if self.state[col] == 1 else Fraction(0)
+        values: dict[int, int | Fraction] = {col: 1 for col, s in enumerate(self.state) if s == 1}
         if inst.z_col is not None:
-            values[inst.z_col] = Fraction(self.max_completion)
+            values[inst.z_col] = self.max_completion
         if inst.meta.interference_mode and not self._complete_r(values):
             return None
         return values
 
-    def _complete_r(self, values: dict[int, Fraction]) -> bool:
+    def _complete_r(self, values: dict[int, int | Fraction]) -> bool:
         """Pick bit-flow values for active transfer steps via the exact LP.
 
         False when some row with an R column cannot hold: a row with no
@@ -327,26 +326,20 @@ class _Search:
             if values.get(inst.c_index[(ai, aj, ti, k)]) == 1 and inst.variables[col].ub > 0
         ]
         var_of = {col: i for i, col in enumerate(active)}
-        for col, v in enumerate(inst.variables):
-            if v.kind == "continuous" and col != inst.z_col and col not in var_of:
-                values[col] = Fraction(0)
         cons = []
         for col in active:
-            cons.append(({var_of[col]: Fraction(1)}, lp.LE, inst.variables[col].ub))
+            cons.append(({var_of[col]: 1}, lp.LE, inst.variables[col].ub))
         for ri in self.r_rows:
             row = inst.rows[ri]
             rcols = [(c, a) for c, a in row.coeffs if c in var_of]
-            const = sum(
-                (Fraction(a) * values[c] for c, a in row.coeffs if c not in var_of),
-                Fraction(0),
-            )
+            const = sum(a * values.get(c, 0) for c, a in row.coeffs if c not in var_of)
             if not rcols:
                 if const > row.rhs or (row.sense == "=" and const != row.rhs):
                     return False
                 continue
-            coeffs = {var_of[c]: Fraction(a) for c, a in rcols}
+            coeffs = {var_of[c]: a for c, a in rcols}
             sense = lp.EQ if row.sense == "=" else lp.LE
-            cons.append((coeffs, sense, Fraction(row.rhs) - const))
+            cons.append((coeffs, sense, row.rhs - const))
         minimize = {var_of[c]: -self.obj[c] for c in active if self.obj.get(c)} or None
         sol = lp.solve_lp(len(active), cons, minimize=minimize)
         if sol is None:
@@ -355,9 +348,9 @@ class _Search:
             values[col] = v
         return True
 
-    def value_of(self, values: Mapping[int, Fraction]) -> Fraction:
+    def value_of(self, values: Mapping[int, int | Fraction]) -> Fraction:
         return sum(
-            (coef * values.get(col, Fraction(0)) for col, coef in self.obj.items()),
+            (coef * values.get(col, 0) for col, coef in self.obj.items()),
             Fraction(0),
         )
 
@@ -371,7 +364,9 @@ class _Level:
     pending0: bool = True
 
 
-def _strip_idle_transfers(inst: IlpInstance, values: dict[int, Fraction]) -> dict[int, Fraction]:
+def _strip_idle_transfers(
+    inst: IlpInstance, values: dict[int, int | Fraction]
+) -> dict[int, int | Fraction]:
     """Zero objective-neutral transfer steps that no row needs.
 
     The 1-before-0 dive can leave transfers that deliver nothing anybody
@@ -386,7 +381,7 @@ def _strip_idle_transfers(inst: IlpInstance, values: dict[int, Fraction]) -> dic
 
     def row_ok(ri: int) -> bool:
         row = inst.rows[ri]
-        act = sum(a * values.get(col, Fraction(0)) for col, a in row.coeffs)
+        act = sum(a * values.get(col, 0) for col, a in row.coeffs)
         return act == row.rhs if row.sense == "=" else act <= row.rhs
 
     order = sorted(inst.c_index.items(), key=lambda kv: kv[1])
@@ -398,12 +393,12 @@ def _strip_idle_transfers(inst: IlpInstance, values: dict[int, Fraction]) -> dic
         if rcol is not None:
             if inst.objective.get(rcol):
                 continue
-            saved_r = values.get(rcol, Fraction(0))
-            values[rcol] = Fraction(0)
-        values[col] = Fraction(0)
+            saved_r = values.get(rcol, 0)
+            values[rcol] = 0
+        values[col] = 0
         affected = rows_of.get(col, []) + (rows_of.get(rcol, []) if rcol is not None else [])
         if not all(row_ok(ri) for ri in affected):
-            values[col] = Fraction(1)
+            values[col] = 1
             if rcol is not None:
                 values[rcol] = saved_r
     return values
@@ -415,13 +410,12 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
     The result is a pure function of (inst, seed, budget): tree policy,
     tie-breaks, and the stopping rule are all deterministic.
     """
-    seed_assignment = assignment_from_schedule(inst, seed)
-    errors = check_assignment(inst, seed_assignment)
+    inc_values = assignment_from_schedule(inst, seed)
+    errors = check_assignment(inst, inc_values)
     if errors:
         raise InfeasibleSeed("; ".join(errors[:5]))
 
     search = _Search(inst)
-    inc_values = {col: frac(v) for col, v in seed_assignment.items()}
     inc_value = search.value_of(inc_values)
 
     levels: list[_Level] = []
@@ -479,7 +473,7 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
             best_bound = lev.parent_bound
 
     inc_values = _strip_idle_transfers(inst, dict(inc_values))
-    incumbent = decode(None, inst, inc_values)
+    incumbent = decode(inst, inc_values)
     return SolveResult(
         incumbent=incumbent,
         incumbent_value=inc_value,

@@ -110,6 +110,13 @@ class TestSimulate:
         assert all(len(shas) == 1 for shas in by_cycle.values())
         assert (out / "trace.txt").exists()
 
+    @pytest.mark.parametrize("cycles", ["0", "-2"])
+    def test_non_positive_cycles_exit_2(self, capsys, scenario_file, cycles):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", scenario_file("min.scn", MINIMAL), "--cycles", cycles])
+        assert exc.value.code == 2
+        assert "--cycles" in capsys.readouterr().err
+
     def test_rerun_reproduces_trace(self, tmp_path, scenario_file):
         path = scenario_file("mule.scn", canned_scenario("data_mule").to_text())
         outs = []
@@ -200,3 +207,16 @@ class TestExportAndGenerate:
 
         text = out.read_text()
         assert parse_scenario(text).to_text() == text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--agents", "1"), ("--agents", "51"), ("--science-fraction", "-1"),
+         ("--science-fraction", "5"), ("--samples", "-1")],
+    )
+    def test_generate_out_of_range_exits_2(self, tmp_path, capsys, flag, value):
+        args = {"--agents": "3", "--science-fraction": "0.5", "--samples": "1", flag: value}
+        out = tmp_path / "gen.scn"
+        rc = main(["generate", *(x for kv in args.items() for x in kv), "--out", str(out)])
+        assert rc == 2
+        assert "must" in capsys.readouterr().err
+        assert not out.exists()

@@ -193,7 +193,7 @@ class TestDecode:
             objective=Objective.reward(),
         )
         inst = encode_objective(p, p.objective, encode(p))
-        s = decode(p, inst, {})
+        s = decode(inst, {})
         assert s.placements == () and s.comms == () and s.objective_value == 0
 
     def test_hand_built_assignment_decodes(self):
@@ -207,7 +207,7 @@ class TestDecode:
         for k in range(4, 6):
             values[inst.d_index[(1, 0, k)]] = 1
         values[inst.d_index[(1, 1, 5)]] = 1
-        s = decode(p, inst, values)
+        s = decode(inst, values)
         assert len(s.placements) == 2 and len(s.comms) == 1
         comm = s.comms[0]
         assert (comm.src, comm.dst, comm.start, comm.end) == ("a0", "a1", 2, 3)
@@ -227,7 +227,7 @@ class TestDecode:
         inst2 = encode_objective(p2, p2.objective, encode(p2))
         values = {inst2.x_index[(0, 0, 0)]: 1, inst2.x_index[(0, 1, 0)]: 1}
         with pytest.raises(InfeasibleAssignment):
-            decode(p2, inst2, values)
+            decode(inst2, values)
 
     def test_bound_violation_is_exact(self):
         p = interference_instance(0)
@@ -240,12 +240,45 @@ class TestDecode:
         errors = check_assignment(inst, values)
         assert f"{var.name}: value {values[col]} outside bounds [0,{var.ub}]" in errors
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "make, interference",
+        [(random_instance, False), (random_instance, True), (interference_instance, True)],
+    )
+    def test_int_and_fraction_forms_check_and_decode_alike(self, seed, make, interference):
+        p = make(seed)
+        inst = encode_objective(p, p.objective, encode(p, interference=interference))
+        seed_values = assignment_from_schedule(inst, selfish_schedule(p))
+        cases = [seed_values]
+        if inst.branch_cols:
+            flipped = dict(seed_values)
+            col = inst.branch_cols[seed % len(inst.branch_cols)]
+            flipped[col] = 1 - flipped.get(col, 0)
+            cases.append(flipped)
+        live_r = [c for c in sorted(inst.r_index.values()) if inst.variables[c].ub > 0]
+        if live_r:
+            over = dict(seed_values)
+            col = live_r[seed % len(live_r)]
+            over[col] = inst.variables[col].ub + Fraction(1, 10**9)
+            cases.append(over)
+        for values in cases:
+            wrapped = {col: Fraction(v) for col, v in values.items()}
+            errors = check_assignment(inst, values)
+            assert errors == check_assignment(inst, wrapped)
+            if not errors:
+                assert decode(inst, values) == decode(inst, wrapped)
+        assert not check_assignment(inst, seed_values)
+        if live_r:
+            col = live_r[0]
+            as_float = check_assignment(inst, {**seed_values, col: 0.5})
+            assert as_float and as_float == check_assignment(inst, {**seed_values, col: Fraction(1, 2)})
+
     def test_round_trip_through_schedule(self):
         p, inst = self.decode_setup()
         sched = brute_force(p)
         values = assignment_from_schedule(inst, sched)
         assert not check_assignment(inst, values)
-        again = decode(p, inst, values)
+        again = decode(inst, values)
         assert again.placements == sched.placements
         assert not check_schedule(p, again)
 
