@@ -84,6 +84,19 @@ def _prepare(path: str, objective: str | None):
     return (sc, p) if report.ok else None
 
 
+def _emit(out: str | None, text: str) -> int:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
+
+
 def _seed_schedule(p):
     return baseline.selfish_schedule(p, mode="storage_excepted")
 
@@ -104,11 +117,8 @@ def cmd_solve(args) -> int:
     except (InfeasibleHorizon, HorizonOverflow, InfeasibleSeed) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    text = res.to_text(p)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if _emit(args.out, res.to_text(p)) != EXIT_OK:
+        return EXIT_INPUT
     print(
         f"value={res.incumbent_value} bound={res.best_bound} status={res.status}"
         f" nodes={res.nodes_explored} wall_time_s={elapsed:.3f}",
@@ -122,16 +132,27 @@ def cmd_simulate(args) -> int:
     if prepared is None:
         return EXIT_INPUT
     sc, p = prepared
+    if p.horizon.wall_clock_s > sc.cycle.execute_s:
+        print(
+            f"invalid scenario: the horizon ({p.horizon.wall_clock_s} s) is longer than"
+            f" the execute phase ({sc.cycle.execute_s} s)",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     trace = distsim.run_cycles(p, sc.script, sc.cycle, args.cycles, sc.capabilities())
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.txt").write_text(trace.to_text())
+    if args.out:
+        out_dir = Path(args.out)
         digests = [
             f"{r.cycle} {r.agent} {dict(kv.split('=', 1) for kv in r.payload.split())['sha']}"
             for r in trace.select(phase="plan", event="digest")
         ]
-        (out_dir / "digests.txt").write_text("\n".join(digests) + "\n")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "trace.txt").write_text(trace.to_text())
+            (out_dir / "digests.txt").write_text("\n".join(digests) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(trace.to_text())
     violations = trace.select(event="agreement_violation")
@@ -196,11 +217,7 @@ def cmd_benchmark(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=BENCHMARK_HEADER)
     writer.writeheader()
     writer.writerows(rows)
-    if args.out:
-        Path(args.out).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return EXIT_OK
+    return _emit(args.out, buf.getvalue())
 
 
 def cmd_render(args) -> int:
@@ -218,8 +235,7 @@ def cmd_render(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    Path(args.out).write_text(svg)
-    return EXIT_OK
+    return _emit(args.out, svg)
 
 
 def cmd_export(args) -> int:
@@ -232,12 +248,7 @@ def cmd_export(args) -> int:
     except InfeasibleHorizon as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    text = export_lp(inst)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args.out, export_lp(inst))
 
 
 def cmd_generate(args) -> int:
@@ -246,12 +257,7 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = sc.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args.out, sc.to_text())
 
 
 def _positive_int(text: str) -> int:

@@ -113,6 +113,8 @@ class IlpInstance:
 def _scale_row(
     name: str, coeffs: list[tuple[int, int | Fraction]], sense: str, rhs: int | Fraction
 ) -> Row:
+    if type(rhs) is int and all(type(a) is int for _, a in coeffs):
+        return Row(name, tuple((col, a) for col, a in coeffs if a), sense, rhs)
     denom = math.lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
     scaled = tuple((col, int(a * denom)) for col, a in coeffs if a != 0)
     return Row(name, scaled, sense, int(rhs * denom))
@@ -273,9 +275,9 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
                     if xcol is None:
                         continue
                     rows.append(
-                        _scale_row(
+                        Row(
                             f"pre_{ti}_{li}_{ai}_{k}",
-                            [(xcol, one), (d_index[(ai, li, k)], -one)],
+                            ((xcol, one), (d_index[(ai, li, k)], -one)),
                             LE,
                             zero,
                         )
@@ -303,33 +305,51 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
 
     # Product acquisition: holding can rise only after computing the task or
     # receiving enough bits (cumulative over all earlier steps and senders).
+    # Step k's row holds step k-1's terms plus its own, so each (task, agent)
+    # keeps its inflow and computing terms in running lists, already scaled
+    # by the lcm of their denominators and rescaled only when that lcm grows.
     for ti in range(nt):
         size = sizes[ti]
         for ai in range(na):
+            dur = None if ti in done else durations[ai][ti]
+            starts = [] if dur is None else [
+                (tau, x_index[(ai, ti, tau)]) for tau in range(steps) if (ai, ti, tau) in x_index
+            ]
+            denom = 1
+            inflow: list[tuple[int, int]] = []  # (C or R column, -bits/size * denom)
+            computed: list[tuple[int, int]] = []  # (X column ready by step k+1, -denom)
             for k in range(steps - 1):
-                coeffs: list[tuple[int, int | Fraction]] = [
-                    (d_index[(ai, ti, k + 1)], one),
-                    (d_index[(ai, ti, k)], -one),
-                ]
-                for tau in range(k + 1):
-                    for aj in range(na):
-                        if aj == ai:
-                            continue
-                        bits = link_bits.get((aj, ai, tau), zero)
-                        if bits == 0:
-                            continue
-                        if interference and size > 0:
-                            coeffs.append((r_index[(aj, ai, ti, tau)], -one / size))
-                        else:
-                            w = one if size == 0 else bits / size
-                            coeffs.append((c_index[(aj, ai, ti, tau)], -w))
-                if ti not in done:
-                    dur_by_agent = durations[ai][ti]
-                    if dur_by_agent is not None:
-                        for tau in range(steps):
-                            if tau + dur_by_agent <= k + 1 and (ai, ti, tau) in x_index:
-                                coeffs.append((x_index[(ai, ti, tau)], -one))
-                rows.append(_scale_row(f"acq_{ti}_{ai}_{k}", coeffs, LE, zero))
+                for aj in range(na):
+                    if aj == ai:
+                        continue
+                    bits = link_bits.get((aj, ai, k), zero)
+                    if bits == 0:
+                        continue
+                    if interference and size > 0:
+                        col, w = r_index[(aj, ai, ti, k)], one / size
+                    else:
+                        col, w = c_index[(aj, ai, ti, k)], one if size == 0 else bits / size
+                    if denom % w.denominator:
+                        grow = math.lcm(denom, w.denominator) // denom
+                        inflow = [(c, a * grow) for c, a in inflow]
+                        computed = [(c, a * grow) for c, a in computed]
+                        denom *= grow
+                    inflow.append((col, -w.numerator * (denom // w.denominator)))
+                while len(computed) < len(starts) and starts[len(computed)][0] + dur <= k + 1:
+                    computed.append((starts[len(computed)][1], -denom))
+                rows.append(
+                    Row(
+                        f"acq_{ti}_{ai}_{k}",
+                        (
+                            (d_index[(ai, ti, k + 1)], denom),
+                            (d_index[(ai, ti, k)], -denom),
+                            *inflow,
+                            *computed,
+                        ),
+                        LE,
+                        zero,
+                    )
+                )
 
     # Agents may only transmit products they hold.
     for ti in range(nt):
@@ -339,9 +359,9 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
                     continue
                 for k in range(steps):
                     rows.append(
-                        _scale_row(
+                        Row(
                             f"kno_{ti}_{ai}_{aj}_{k}",
-                            [(c_index[(ai, aj, ti, k)], one), (d_index[(ai, ti, k)], -one)],
+                            ((c_index[(ai, aj, ti, k)], one), (d_index[(ai, ti, k)], -one)),
                             LE,
                             zero,
                         )

@@ -8,6 +8,19 @@ objective: two solver instances given identical inputs return bit-identical
 results, which is the property the distributed planning cycle relies on.
 Assignments list only the columns they set; an absent column is 0.
 
+Propagation works on a presolved form of the rows, built once per solve:
+- a binary row x - y <= 0 (the `kno` and `pre` rows, most of the encoding)
+  becomes two implication lists, x=1 forces y=1 and y=0 forces x=0; the
+  trail is their queue, and the pinned columns are its first entries;
+- every other row keeps its activity bounds amin and amax, moved by deltas
+  precomputed per column for fixing it to 0 and to 1. Only a change that
+  can tighten the row is listed: a rise of amin, or a fall of amax on an
+  equality row, since a <= row never reads amax. A row whose slack is at
+  least its largest coefficient cannot force anything and is skipped.
+Bound propagation is monotone, so every order of these steps reaches the
+same fixpoint or the same conflict as rescanning all rows would, and every
+search tree is the one the plain row form gives.
+
 Storage-flag (D) columns are never branched: once every X and C column is
 decided, propagation has fixed each D that matters and the rest complete to
 0, which is always row-feasible and objective-neutral.
@@ -25,13 +38,13 @@ The seed is checked once on entry and the answer once by `decode`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from . import lp
-from .encoder import IlpInstance, assignment_from_schedule, check_assignment, decode
+from .encoder import EQ, LE, IlpInstance, assignment_from_schedule, check_assignment, decode
 from .model import Schedule, frac
 
 NEG_INF = float("-inf")
@@ -79,69 +92,111 @@ class SolveResult:
         return "\n".join(lines) + "\n" + self.incumbent.to_text(p)
 
 
+def _dense(by_col: dict[int, list], n: int) -> list:
+    """A per-column table; the columns without entries share one ()."""
+    table: list = [()] * n
+    for col, entries in by_col.items():
+        table[col] = entries
+    return table
+
+
 class _Search:
-    """Trail-based propagation state shared by solve/propagate/bound."""
+    """Trail-based propagation state shared by solve/propagate/bound.
+
+    The fixings of binary columns form a trail; its entries before `head`
+    have had their implications applied. The rows that are not implications
+    live in compact arrays (`row_cols`, `amin`, ...), and `row_index` maps
+    each back to its position in `inst.rows`.
+    """
 
     def __init__(self, inst: IlpInstance):
         self.inst = inst
         meta = inst.meta
         self.weights = meta.objective.weight_vector() if meta.objective else None
-        n = len(inst.variables)
-        self.is_binary = [v.kind == "binary" for v in inst.variables]
+        variables = inst.variables
+        n = len(variables)
+        is_binary = [v.kind == "binary" for v in variables]
+        self.is_binary = is_binary
         self.state = [-1] * n
-        for col, v in enumerate(inst.variables):
-            if self.is_binary[col] and v.lb == v.ub:
-                self.state[col] = v.lb
 
-        self.row_cols: list[list[int]] = []
-        self.row_coefs: list[list[int]] = []
+        # implied[v][col]: the columns forced to v once col is v. A row
+        # x - y <= 0 gives x=1 => y=1 and y=0 => x=0.
+        implied = (defaultdict(list), defaultdict(list))
+        # lo[v][col] and hi[v][col]: (row, delta) for each row whose amin rises
+        # or whose amax falls when col is fixed to v. Only an equality row
+        # reads amax, so only equality rows have hi entries.
+        lo0, lo1, hi0, hi1 = (defaultdict(list) for _ in range(4))
+        self.row_index: list[int] = []
+        self.row_cols: list[tuple[int, ...]] = []
+        self.row_coefs: list[tuple[int, ...]] = []
         self.row_eq: list[bool] = []
         self.row_rhs: list[int] = []
-        self.col_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # col -> (row, coef)
-        m = len(inst.rows)
-        self.amin: list = [0] * m
-        self.amax: list = [0] * m
+        self.row_maxabs: list[int] = []  # largest |a| over the binary columns
+        self.amin: list = []
+        self.amax: list = []
         self.r_rows: list[int] = []  # rows holding an R column, in row order
+        z_col = inst.z_col
         for ri, row in enumerate(inst.rows):
-            cols, coefs = [], []
-            lo = hi = 0
+            coeffs = row.coeffs
+            if len(coeffs) == 2 and row.rhs == 0 and row.sense == LE:
+                (c0, a0), (c1, a1) = coeffs
+                if a0 == -a1 and is_binary[c0] and is_binary[c1]:
+                    if a0 < 0:
+                        c0, c1 = c1, c0
+                    implied[1][c0].append(c1)
+                    implied[0][c1].append(c0)
+                    continue
+            gi = len(self.row_index)
+            amin = amax = 0
             has_r = False
-            for col, a in row.coeffs:
-                if self.is_binary[col]:
-                    cols.append(col)
-                    coefs.append(a)
-                    self.col_adj[col].append((ri, a))
-                    s = self.state[col]
-                    if s == -1:
-                        lo += min(0, a)
-                        hi += max(0, a)
-                    else:
-                        lo += a * s
-                        hi += a * s
+            cols, coefs = zip(*coeffs)
+            if not all(map(is_binary.__getitem__, cols)):
+                # The search decides binary columns only; z and R count at their bounds.
+                for col, a in coeffs:
+                    if not is_binary[col]:
+                        has_r = has_r or col != z_col  # the other continuous columns are R
+                        v = variables[col]
+                        amin += min(a * v.lb, a * v.ub)
+                        amax += max(a * v.lb, a * v.ub)
+                coeffs = tuple((col, a) for col, a in coeffs if is_binary[col])
+                cols, coefs = tuple(zip(*coeffs)) or ((), ())
+            total, spread = sum(coefs), sum(map(abs, coefs))
+            amin += (total - spread) // 2  # the negative coefficients
+            amax += (total + spread) // 2  # the positive ones
+            for col, a in coeffs:
+                if a > 0:
+                    lo1[col].append((gi, a))
                 else:
-                    has_r = has_r or col != inst.z_col  # the other continuous columns are R
-                    v = inst.variables[col]
-                    lo += min(a * v.lb, a * v.ub)
-                    hi += max(a * v.lb, a * v.ub)
+                    lo0[col].append((gi, -a))
+            eq = row.sense == EQ
+            if eq:
+                for col, a in coeffs:
+                    if a > 0:
+                        hi0[col].append((gi, -a))
+                    else:
+                        hi1[col].append((gi, a))
             if has_r:
                 self.r_rows.append(ri)
+            self.row_index.append(ri)
             self.row_cols.append(cols)
             self.row_coefs.append(coefs)
-            self.row_eq.append(row.sense == "=")
+            self.row_eq.append(eq)
             self.row_rhs.append(row.rhs)
-            self.amin[ri] = lo
-            self.amax[ri] = hi
+            self.row_maxabs.append(max(map(abs, coefs), default=0))
+            self.amin.append(amin)
+            self.amax.append(amax)
+        self.implied = tuple(_dense(d, n) for d in implied)
+        self.lo = (_dense(lo0, n), _dense(lo1, n))
+        self.hi = (_dense(hi0, n), _dense(hi1, n))
 
+        m = len(self.row_index)
         self.trail: list[int] = []
+        self.head = 0
         self.queue: deque[int] = deque(range(m))
         self.in_queue = bytearray([1]) * m
 
         self.obj = dict(inst.objective)
-        # Objective over the binary columns fixed to 1.
-        self.obj_fixed = sum(
-            (self.obj.get(col, Fraction(0)) for col in range(n) if self.state[col] == 1),
-            Fraction(0),
-        )
+        self.obj_fixed = Fraction(0)  # objective over the binary columns fixed to 1
         self.x_by_task: dict[int, list[tuple[int, int]]] = {}
         self.x_info: dict[int, tuple[int, int]] = {}
         for (ai, ti, k), col in inst.x_index.items():
@@ -156,6 +211,12 @@ class _Search:
         )
         self.required_open = sorted(meta.required - meta.done)
 
+        # Pinned columns are the root's first fixings; the root propagation
+        # applies their implications along with every row.
+        for col, v in enumerate(variables):
+            if is_binary[col] and v.lb == v.ub:
+                self.fix(col, v.lb)
+
     # -- state updates ----------------------------------------------------
 
     def fix(self, col: int, value: int) -> bool:
@@ -164,14 +225,17 @@ class _Search:
             return s == value
         self.state[col] = value
         self.trail.append(col)
-        for ri, a in self.col_adj[col]:
-            lo, hi = min(0, a), max(0, a)
-            contrib = a * value
-            self.amin[ri] += contrib - lo
-            self.amax[ri] += contrib - hi
-            if not self.in_queue[ri]:
-                self.in_queue[ri] = 1
-                self.queue.append(ri)
+        amin, amax, in_queue = self.amin, self.amax, self.in_queue
+        for gi, d in self.lo[value][col]:
+            amin[gi] += d
+            if not in_queue[gi]:
+                in_queue[gi] = 1
+                self.queue.append(gi)
+        for gi, d in self.hi[value][col]:
+            amax[gi] += d
+            if not in_queue[gi]:
+                in_queue[gi] = 1
+                self.queue.append(gi)
         info = self.x_info.get(col)
         if value == 1:
             c = self.obj.get(col)
@@ -187,15 +251,16 @@ class _Search:
         return True
 
     def undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            col = self.trail.pop()
-            value = self.state[col]
-            self.state[col] = -1
-            for ri, a in self.col_adj[col]:
-                lo, hi = min(0, a), max(0, a)
-                contrib = a * value
-                self.amin[ri] -= contrib - lo
-                self.amax[ri] -= contrib - hi
+        trail, state = self.trail, self.state
+        amin, amax = self.amin, self.amax
+        while len(trail) > mark:
+            col = trail.pop()
+            value = state[col]
+            state[col] = -1
+            for gi, d in self.lo[value][col]:
+                amin[gi] -= d
+            for gi, d in self.hi[value][col]:
+                amax[gi] -= d
             info = self.x_info.get(col)
             if value == 1:
                 c = self.obj.get(col)
@@ -205,59 +270,83 @@ class _Search:
                     self.placed[info[0]] = None
             elif info is not None:
                 self.alive_x[info[0]] += 1
+        self.head = mark
+        for gi in self.queue:
+            self.in_queue[gi] = 0
         self.queue.clear()
-        self.in_queue = bytearray(len(self.in_queue))
         self.max_completion = 0
         for ti, col in self.placed.items():
             if col is not None and self.x_info[col][1] > self.max_completion:
                 self.max_completion = self.x_info[col][1]
 
     def propagate_pending(self) -> bool:
-        while self.queue:
-            ri = self.queue.popleft()
-            self.in_queue[ri] = 0
-            if not self._propagate_row(ri):
+        trail, state = self.trail, self.state
+        implied = self.implied
+        queue, in_queue = self.queue, self.in_queue
+        while True:
+            head = self.head
+            while head < len(trail):
+                col = trail[head]
+                head += 1
+                value = state[col]
+                for other in implied[value][col]:
+                    s = state[other]
+                    if s == -1:
+                        self.fix(other, value)
+                    elif s != value:
+                        self.head = head
+                        return False
+            self.head = head
+            if not queue:
+                return True
+            gi = queue.popleft()
+            in_queue[gi] = 0
+            if not self._propagate_row(gi):
                 return False
-        return True
 
-    def _propagate_row(self, ri: int) -> bool:
-        rhs = self.row_rhs[ri]
-        amin = self.amin[ri]
-        amax = self.amax[ri]
-        eq = self.row_eq[ri]
-        if amin > rhs or (eq and amax < rhs):
-            return False
-        if amax <= rhs and not eq:
-            return True  # row satisfied whatever happens
-        cols, coefs = self.row_cols[ri], self.row_coefs[ri]
+    def _propagate_row(self, gi: int) -> bool:
+        rhs = self.row_rhs[gi]
+        amin = self.amin[gi]
+        maxabs = self.row_maxabs[gi]
         state = self.state
-        for idx in range(len(cols)):
-            col = cols[idx]
+        cols, coefs = self.row_cols[gi], self.row_coefs[gi]
+        if not self.row_eq[gi]:
+            # Fixings forced by a <= row leave its amin as it is.
+            if amin > rhs:
+                return False
+            slack = rhs - amin
+            if maxabs <= slack:
+                return True
+            for col, a in zip(cols, coefs):
+                if state[col] == -1:
+                    if a > slack:
+                        self.fix(col, 0)
+                    elif -a > slack:
+                        self.fix(col, 1)
+            return True
+        amax = self.amax[gi]
+        if amin > rhs or amax < rhs:
+            return False
+        if amin + maxabs <= rhs <= amax - maxabs:
+            return True
+        for col, a in zip(cols, coefs):
             if state[col] != -1:
                 continue
-            a = coefs[idx]
             if a > 0:
                 if amin + a > rhs:
-                    if not self.fix(col, 0):
-                        return False
-                    amin = self.amin[ri]
-                    amax = self.amax[ri]
-                elif eq and amax - a < rhs:
-                    if not self.fix(col, 1):
-                        return False
-                    amin = self.amin[ri]
-                    amax = self.amax[ri]
+                    self.fix(col, 0)
+                elif amax - a < rhs:
+                    self.fix(col, 1)
+                else:
+                    continue
+            elif amax + a < rhs:
+                self.fix(col, 0)
+            elif amin - a > rhs:
+                self.fix(col, 1)
             else:
-                if eq and amax + a < rhs:
-                    if not self.fix(col, 0):
-                        return False
-                    amin = self.amin[ri]
-                    amax = self.amax[ri]
-                elif amin - a > rhs:
-                    if not self.fix(col, 1):
-                        return False
-                    amin = self.amin[ri]
-                    amax = self.amax[ri]
+                continue
+            amin = self.amin[gi]
+            amax = self.amax[gi]
         return True
 
     # -- bound ------------------------------------------------------------
@@ -365,7 +454,7 @@ class _Level:
 
 
 def _strip_idle_transfers(
-    inst: IlpInstance, values: dict[int, int | Fraction]
+    search: _Search, values: dict[int, int | Fraction]
 ) -> dict[int, int | Fraction]:
     """Zero objective-neutral transfer steps that no row needs.
 
@@ -373,16 +462,24 @@ def _strip_idle_transfers(
     uses; dropping them keeps the assignment feasible and the value exact,
     and makes decoded schedules canonical. Deterministic greedy pass in
     column order.
+
+    The assignment is feasible throughout, so zeroing a C column can break
+    only the rows that fixing it to 0 tightens in the search: the rows in
+    its `lo`/`hi` entries and the implication rows x - C <= 0. Its R column
+    is checked against every row that holds it.
     """
-    rows_of: dict[int, list[int]] = {}
-    for ri, row in enumerate(inst.rows):
-        for col, _ in row.coeffs:
-            rows_of.setdefault(col, []).append(ri)
+    inst = search.inst
+    rows = inst.rows
+    r_rows_of: dict[int, list[int]] = defaultdict(list)
+    for ri in search.r_rows:
+        for col, _ in rows[ri].coeffs:
+            if not search.is_binary[col]:
+                r_rows_of[col].append(ri)
 
     def row_ok(ri: int) -> bool:
-        row = inst.rows[ri]
+        row = rows[ri]
         act = sum(a * values.get(col, 0) for col, a in row.coeffs)
-        return act == row.rhs if row.sense == "=" else act <= row.rhs
+        return act == row.rhs if row.sense == EQ else act <= row.rhs
 
     order = sorted(inst.c_index.items(), key=lambda kv: kv[1])
     for (ai, aj, ti, k), col in order:
@@ -396,8 +493,13 @@ def _strip_idle_transfers(
             saved_r = values.get(rcol, 0)
             values[rcol] = 0
         values[col] = 0
-        affected = rows_of.get(col, []) + (rows_of.get(rcol, []) if rcol is not None else [])
-        if not all(row_ok(ri) for ri in affected):
+        affected = [search.row_index[gi] for gi, _ in search.lo[0][col]]
+        affected += [search.row_index[gi] for gi, _ in search.hi[0][col]]
+        if rcol is not None:
+            affected += r_rows_of.get(rcol, ())
+        if any(values.get(x) for x in search.implied[0][col]) or not all(
+            row_ok(ri) for ri in affected
+        ):
             values[col] = 1
             if rcol is not None:
                 values[rcol] = saved_r
@@ -472,7 +574,7 @@ def solve(inst: IlpInstance, seed: Schedule, budget: SolveBudget) -> SolveResult
         if lev.parent_bound != NEG_INF and lev.parent_bound > best_bound:
             best_bound = lev.parent_bound
 
-    inc_values = _strip_idle_transfers(inst, dict(inc_values))
+    inc_values = _strip_idle_transfers(search, dict(inc_values))
     incumbent = decode(inst, inc_values)
     return SolveResult(
         incumbent=incumbent,

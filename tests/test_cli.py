@@ -117,6 +117,14 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "--cycles" in capsys.readouterr().err
 
+    def test_horizon_longer_than_execute_phase_exits_2(self, capsys, scenario_file):
+        text = canned_scenario("relay").to_text()
+        assert "execute=30 " in text  # the relay horizon is 8 s
+        path = scenario_file("relay.scn", text.replace("execute=30 ", "execute=1 "))
+        assert main(["simulate", path, "--cycles", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and "execute phase" in err
+
     def test_rerun_reproduces_trace(self, tmp_path, scenario_file):
         path = scenario_file("mule.scn", canned_scenario("data_mule").to_text())
         outs = []
@@ -220,3 +228,27 @@ class TestExportAndGenerate:
         assert rc == 2
         assert "must" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["solve", "export", "simulate", "benchmark"])
+    def test_missing_directory_exits_2(self, tmp_path, capsys, scenario_file, command):
+        path = scenario_file("min.scn", MINIMAL)
+        args = [command, path, "--cycles", "1"] if command == "simulate" else [command, path]
+        # simulate creates missing directories, so its --out sits under a file.
+        (tmp_path / "file").write_text("")
+        parent = "file" if command == "simulate" else "missing"
+        assert main([*args, "--out", str(tmp_path / parent / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_generate_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "gen.scn"
+        assert main(["generate", "--agents", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_render_missing_directory_exits_2(self, tmp_path, capsys, scenario_file):
+        sched = tmp_path / "sched.txt"
+        assert main(["solve", scenario_file("min.scn", MINIMAL), "--out", str(sched)]) == 0
+        capsys.readouterr()
+        assert main(["render", str(sched), "--out", str(tmp_path / "missing" / "s.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -2,20 +2,34 @@
 
 A change that keeps this digest keeps every encoding, every search tree and
 every decoded schedule on the corpus byte-identical. A change that alters
-any of them on purpose must pin the new digest and say why.
+any of them on purpose must pin the new digest and say why. A second digest
+pins `propagate` and `bound` on partial fixings of the same corpus, many of
+them conflicting, which `solve` alone never reaches.
 """
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
-from commsched import Objective, SolveBudget, encode, encode_objective, export_lp, solve
+from commsched import (
+    CONFLICT,
+    Objective,
+    SolveBudget,
+    bound,
+    encode,
+    encode_objective,
+    export_lp,
+    propagate,
+    solve,
+)
 from commsched.baseline import selfish_schedule
 from commsched.scenarios import canned_scenario
 
 from helpers import interference_instance, random_instance
 
 GOLDEN_SHA256 = "1f01ef356a83cc363cdedf695598cc24f336b1c7d5cde62132b20227cc5939ce"
+PROPAGATE_SHA256 = "09085e168464b8d56a685c12aae224c01deae88020e3fff478eba9b8737c9260"
 
 CANNED = ("relay", "science_cluster", "assembly_line", "data_mule")
 OBJECTIVES = (Objective.reward, Objective.makespan, Objective.energy)
@@ -44,3 +58,29 @@ def test_exports_and_results_match_golden_digest():
         assert type(res.best_bound) is Fraction
         assert type(res.incumbent.objective_value) is Fraction
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+def fixings(inst, rng):
+    """The root, then random partial fixings of the free binary columns.
+
+    Values lean to 0, as a dive's do. The densest tier conflicts in most
+    instances, the sparsest in almost none.
+    """
+    free = [col for col, v in enumerate(inst.variables) if v.kind == "binary" and v.lb != v.ub]
+    yield {}
+    for density in (0.01, 0.04, 0.15):
+        yield {col: int(rng.random() < 0.25) for col in free if rng.random() < density}
+
+
+def test_propagate_and_bound_match_golden_digest():
+    h = hashlib.sha256()
+    for i, (p, interference, _) in enumerate(corpus()):
+        inst = encode_objective(p, p.objective, encode(p, interference=interference))
+        for fixing in fixings(inst, random.Random(i)):
+            fixed = propagate(inst, fixing)
+            if fixed is CONFLICT:
+                text = "conflict"
+            else:
+                text = " ".join(f"{col}={v}" for col, v in sorted(fixed.items()))
+            h.update(f"{text}\nbound {bound(inst, fixing)}\n".encode())
+    assert h.hexdigest() == PROPAGATE_SHA256

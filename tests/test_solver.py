@@ -1,8 +1,10 @@
 """Branch-and-bound: determinism, anytime behavior, propagation, bounds."""
 
+import functools
 from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import commsched.solver
 from commsched import (
@@ -235,3 +237,84 @@ class TestBound:
         b = bound(inst, {})
         assert b is not NEG_INF
         assert b >= brute_force(p).objective_value
+
+
+def reference_propagate(inst, fixing):
+    """Bound propagation by plain rescans of every row, until none changes.
+
+    Returns the decided binary columns at the fixpoint, or CONFLICT. A value
+    of an open column is ruled out when the row cannot hold with it, taking
+    every other open column and each continuous column at its best bound.
+    """
+    variables = inst.variables
+    state = {col: v.lb for col, v in enumerate(variables) if v.kind == "binary" and v.lb == v.ub}
+    for col, v in fixing.items():
+        if state.setdefault(col, v) != v:
+            return CONFLICT
+    changed = True
+    while changed:
+        changed = False
+        for row in inst.rows:
+            eq = row.sense == "="
+            while True:
+                lo = hi = 0
+                open_cols = []
+                for col, a in row.coeffs:
+                    var = variables[col]
+                    if var.kind != "binary":
+                        lo += min(a * var.lb, a * var.ub)
+                        hi += max(a * var.lb, a * var.ub)
+                    elif col in state:
+                        lo += a * state[col]
+                        hi += a * state[col]
+                    else:
+                        lo += min(0, a)
+                        hi += max(0, a)
+                        open_cols.append((col, a))
+                if lo > row.rhs or (eq and hi < row.rhs):
+                    return CONFLICT
+                forced = None
+                for col, a in open_cols:
+                    fits = [
+                        v
+                        for v in (0, 1)
+                        if lo - min(0, a) + a * v <= row.rhs
+                        and (not eq or hi - max(0, a) + a * v >= row.rhs)
+                    ]
+                    if len(fits) == 1:
+                        forced = (col, fits[0])
+                        break
+                if forced is None:
+                    break
+                state[forced[0]] = forced[1]
+                changed = True
+    return state
+
+
+@functools.cache
+def _instance(kind, seed):
+    interference = kind == "interference"
+    p = interference_instance(seed) if interference else random_instance(seed)
+    return encode_objective(p, p.objective, encode(p, interference=interference))
+
+
+class TestAgainstReferenceFixpoint:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_propagate_and_bound_match_the_reference(self, data):
+        inst = _instance(
+            data.draw(st.sampled_from(["random", "interference"])), data.draw(st.integers(0, 40))
+        )
+        # Any binary column, pinned ones too, so some fixings contradict a bound.
+        binary = [col for col, v in enumerate(inst.variables) if v.kind == "binary"]
+        fixing = data.draw(
+            st.dictionaries(st.sampled_from(binary), st.integers(0, 1), max_size=len(binary) // 4)
+        )
+        expected = reference_propagate(inst, fixing)
+        event("conflict" if expected is CONFLICT else "fixpoint")
+        assert propagate(inst, fixing) == expected
+        if expected is CONFLICT:
+            assert bound(inst, fixing) == NEG_INF
+        else:
+            # The fixpoint propagates to itself, so it must bound the same.
+            assert bound(inst, fixing) == bound(inst, expected)
