@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         digests = [
-            f"{r.cycle} {r.agent} {dict(kv.split('=', 1) for kv in r.payload.split())['sha']}"
+            f"{r.cycle} {r.agent} {r.fields()['sha']}"
             for r in trace.select(phase="plan", event="digest")
         ]
         try:
@@ -223,7 +223,7 @@ def cmd_benchmark(args) -> int:
 def cmd_render(args) -> int:
     try:
         text = Path(args.input).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     first = text.splitlines()[0] if text.splitlines() else ""

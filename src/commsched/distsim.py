@@ -10,19 +10,27 @@ delivered products are dropped.
 
 Agents that end a broadcast phase with an incomplete view plan on the
 partial view; the divergence is recorded in the trace rather than repaired.
+
+Flood timing: with n agents enabled, N in the catalog and r_min the lowest
+rate-rung floor over the live links (0 when there is none), a round takes
+n(3N + 23)/r_min seconds, 0 for a lone agent and the whole broadcast phase
+when r_min is 0. The phase fits max(1, floor(broadcast_s / round)) rounds,
+and an incomplete flood is charged for all of them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from . import baseline
 from .encoder import encode, encode_objective
 from .model import (
     AgentProfile,
+    CommEvent,
     ContactGraph,
     FORBIDDEN,
     ProblemInstance,
@@ -33,9 +41,6 @@ from .model import (
     validate_problem,
 )
 from .solver import SolveBudget, solve
-
-#: Returned by flood() when some agent never assembles the full view.
-NOT_REACHED = None
 
 #: Link bandwidth quantization rungs (bits/second), 3 bits -> 8 levels.
 #: Planning uses the rung floor, so planned transfers never outrun reality.
@@ -52,24 +57,14 @@ CAPABILITY_SCALE = tuple(Fraction(2) ** (7 - lvl) for lvl in range(8))
 REWARD_SLOTS = 10
 
 
-def quantize_rate(rate_bps: Fraction) -> int:
-    level = 0
-    for i, floor in enumerate(RATE_LEVELS):
-        if rate_bps >= floor:
-            level = i
-    return level
+def rung(levels: Sequence[int], value: Fraction) -> int:
+    """Level of the highest rung of `levels` at or below `value`; 0 below all."""
+    return max(bisect_right(levels, value) - 1, 0)
 
 
-def dequantize_rate(level: int) -> Fraction:
-    return Fraction(RATE_LEVELS[level])
-
-
-def quantize_reward(reward: Fraction) -> int:
-    level = 0
-    for i, floor in enumerate(REWARD_LEVELS):
-        if reward >= floor:
-            level = i
-    return level
+def rate_floor(rate_bps: Fraction) -> Fraction:
+    """The floor of the rate rung that `rate_bps` falls on."""
+    return Fraction(RATE_LEVELS[rung(RATE_LEVELS, rate_bps)])
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def flooding_time_bound(num_agents: int, rate_bps) -> Fraction:
 @dataclass(frozen=True)
 class FloodResult:
     views: Mapping[str, dict[str, AgentState]]
-    rounds_used: int | None  # NOT_REACHED when some view stayed incomplete
+    rounds_used: int | None  # None when some view stayed incomplete
     messages_sent: int
 
 
@@ -134,7 +129,7 @@ def flood(
     holds on every link (src, dst) of `links`, at most once per (message, link).
 
     Returns the assembled views and the first round after which every agent
-    held every state (NOT_REACHED if the budget ran out first).
+    held every state (None if the budget ran out first).
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -180,6 +175,8 @@ class ScriptEvent:
         object.__setattr__(self, "time_s", frac(self.time_s))
         if self.kind == "link":
             object.__setattr__(self, "value", frac(self.value))
+            if self.value < 0:
+                raise ValueError(f"link {self.subject}->{self.target}: negative rate")
         else:
             object.__setattr__(self, "value", int(self.value))
 
@@ -202,17 +199,8 @@ class _WorldState:
     script: WorldScript
     enabled: dict[str, bool]
     in_zone: dict[str, bool]
-    link_override: dict[tuple[str, str], Fraction]
+    link_override: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     applied: int = 0
-
-    @classmethod
-    def initial(cls, agent_ids, zone_flags, script) -> "_WorldState":
-        return cls(
-            script=script,
-            enabled={a: True for a in agent_ids},
-            in_zone=dict(zone_flags),
-            link_override={},
-        )
 
     def advance_to(self, t: Fraction):
         events = self.script.events
@@ -264,6 +252,10 @@ class TraceRecord:
     def line(self) -> str:
         return f"{self.cycle} {self.phase} {self.agent} {self.event} {self.payload}".rstrip()
 
+    def fields(self) -> dict[str, str]:
+        """The payload's key=value pairs."""
+        return dict(kv.split("=", 1) for kv in self.payload.split())
+
 
 @dataclass
 class ExecutionTrace:
@@ -286,10 +278,7 @@ class ExecutionTrace:
         ]
 
     def executed_tasks(self) -> list[str]:
-        out = []
-        for r in self.select(event="task_done"):
-            out.append(dict(kv.split("=", 1) for kv in r.payload.split()).get("task", ""))
-        return out
+        return [r.fields().get("task", "") for r in self.select(event="task_done")]
 
 
 def trace_from_text(text: str) -> ExecutionTrace:
@@ -312,10 +301,11 @@ def agent_state(
     agent_id: str,
     capability: int,
     owned: Iterable[str],
+    products: Iterable[str],
 ) -> AgentState:
     """Snapshot one agent's broadcastable state at a cycle start."""
     levels = tuple(
-        7 if other == agent_id else quantize_rate(world.rate(p, agent_id, other, 0))
+        7 if other == agent_id else rung(RATE_LEVELS, world.rate(p, agent_id, other, 0))
         for other in p.agent_ids
     )
     by_id = p.network.by_id
@@ -325,18 +315,17 @@ def agent_state(
         if task is None or task.required:
             continue
         offered = not (task.category == "collect" and not world.in_zone.get(agent_id, False))
-        rewards.append(quantize_reward(task.reward) if offered else 0)
+        rewards.append(rung(REWARD_LEVELS, task.reward) if offered else 0)
     if len(rewards) > REWARD_SLOTS:
         raise ValueError(f"agent {agent_id} owns more than {REWARD_SLOTS} optional tasks")
     rewards.extend([0] * (REWARD_SLOTS - len(rewards)))
-    products = frozenset()  # filled by the engine from execution history
     return AgentState(
         agent_id=agent_id,
         bandwidth_levels=levels,
         capability=capability,
         reward_levels=tuple(rewards),
         owned_tasks=tuple(owned),
-        products=products,
+        products=frozenset(products),
     )
 
 
@@ -350,23 +339,22 @@ class _CycleEngine:
     ):
         if p.horizon.wall_clock_s > cfg.execute_s:
             raise ValueError("plan horizon must fit inside the execute phase")
+        if not p.network.is_acyclic:
+            raise ValueError("the task network has a dependency cycle")
         self.p = p
         self.cfg = cfg
         self.caps = {a: 7 for a in p.agent_ids}
         if capabilities:
             self.caps.update(capabilities)
-        zone0 = {a: False for a in p.agent_ids}
-        for t in p.network.tasks:
-            if t.category == "collect":
-                owner = baseline.owner_of(p, t.id)
-                if owner is not None:
-                    zone0[owner] = True
-        self.world = _WorldState.initial(p.agent_ids, zone0, script)
+        in_zone = {a: False for a in p.agent_ids}
         self.owned: dict[str, list[str]] = {a: [] for a in p.agent_ids}
         for t in p.network.tasks:
             owner = baseline.owner_of(p, t.id)
             if owner is not None:
                 self.owned[owner].append(t.id)
+                if t.category == "collect":
+                    in_zone[owner] = True
+        self.world = _WorldState(script, {a: True for a in p.agent_ids}, in_zone)
         self.products: dict[str, set[str]] = {a: set() for a in p.agent_ids}
         for a, prods in p.initial_products.items():
             self.products[a] |= set(prods)
@@ -398,14 +386,10 @@ class _CycleEngine:
                 if src == dst:
                     continue
                 level = state.bandwidth_levels[order.index(dst)]
-                template_now = quantize_rate(p.contacts.rate(src, dst, 0))
-                if level == template_now:
-                    profile = [
-                        dequantize_rate(quantize_rate(p.contacts.rate(src, dst, k)))
-                        for k in range(steps)
-                    ]
+                if level == rung(RATE_LEVELS, p.contacts.rate(src, dst, 0)):
+                    profile = [rate_floor(p.contacts.rate(src, dst, k)) for k in range(steps)]
                 else:
-                    profile = [dequantize_rate(level)] * steps
+                    profile = [Fraction(RATE_LEVELS[level])] * steps
                 for k, r in enumerate(profile):
                     if r > 0:
                         rates[(src, dst, k)] = r
@@ -430,40 +414,24 @@ class _CycleEngine:
                 if level > 0:
                     offered[task_id] = Fraction(REWARD_LEVELS[level])
 
-        pool: list[str] = []
-        for task_id in p.network.task_ids:
-            if task_id in done:
+        # One pass in topological order: a task whose predecessors are
+        # neither done nor in the pool stays out.
+        pool: set[str] = set()
+        tasks = []
+        for task in p.network.tasks:
+            if task.id in done:
+                tasks.append(task)  # kept for product routing
                 continue
-            task = by_id[task_id]
-            owner = baseline.owner_of(p, task_id)
-            if owner not in visible:
+            if baseline.owner_of(p, task.id) not in visible:
                 continue
-            if not task.required and task_id not in offered:
+            if not task.required and task.id not in offered:
                 continue
-            pool.append(task_id)
-        # Drop tasks whose predecessors are neither done nor in the pool.
-        pool_set = set(pool)
-        changed = True
-        while changed:
-            changed = False
-            for task_id in list(pool_set):
-                for pred in by_id[task_id].predecessors:
-                    if pred not in done and pred not in pool_set:
-                        pool_set.discard(task_id)
-                        changed = True
-                        break
-        if not pool_set and not done:
+            if all(q in done or q in pool for q in task.predecessors):
+                pool.add(task.id)
+                tasks.append(task if task.required else replace(task, reward=offered[task.id]))
+        if not pool and not done:
             return None
 
-        tasks = []
-        for task_id in p.network.task_ids:
-            task = by_id[task_id]
-            if task_id in pool_set:
-                if not task.required and task_id in offered:
-                    task = replace(task, reward=offered[task_id])
-                tasks.append(task)
-            elif task_id in done:
-                tasks.append(task)  # kept for product routing
         profiles = []
         for a in visible:
             scale = CAPABILITY_SCALE[view[a].capability]
@@ -511,30 +479,23 @@ class _CycleEngine:
         n = len(enabled)
         bits = state_size_bits(len(p.agent_ids))  # catalog size is common knowledge
 
-        states = {}
-        for a in enabled:
-            st = agent_state(p, self.world, a, self.caps[a], self.owned[a])
-            states[a] = replace(st, products=frozenset(self.products[a]))
+        states = {
+            a: agent_state(p, self.world, a, self.caps[a], self.owned[a], self.products[a])
+            for a in enabled
+        }
         live_links = frozenset(
             (i, j)
             for i in enabled
             for j in enabled
             if i != j and self.world.rate(p, i, j, 0) > 0
         )
-        positive = sorted(self.world.rate(p, i, j, 0) for i, j in live_links)
+        r_min = min((rate_floor(self.world.rate(p, i, j, 0)) for i, j in live_links), default=0)
         if n == 1:
-            result = FloodResult({enabled[0]: {enabled[0]: states[enabled[0]]}}, 1, 0)
-            rounds_avail = 1
-            round_time = Fraction(0)
-        elif not positive:
-            result = flood(states, frozenset(), 1)
-            rounds_avail = 1
-            round_time = cfg.broadcast_s
+            round_time, rounds_avail = Fraction(0), 1
         else:
-            r_min = dequantize_rate(quantize_rate(positive[0]))
-            round_time = Fraction(n * bits) / r_min if r_min > 0 else cfg.broadcast_s
-            rounds_avail = max(1, int(cfg.broadcast_s / round_time)) if round_time > 0 else 1
-            result = flood(states, live_links, rounds_avail)
+            round_time = Fraction(n * bits) / r_min if r_min else cfg.broadcast_s
+            rounds_avail = max(1, int(cfg.broadcast_s / round_time))
+        result = flood(states, live_links, rounds_avail)
         complete = result.rounds_used is not None
         consensus_time = (result.rounds_used or rounds_avail) * round_time
         trace.add(
@@ -579,68 +540,63 @@ class _CycleEngine:
 
     def _execute(self, cycle, trace, enabled, plans, t_start):
         p = self.p
+        world = self.world
         dt = p.horizon.step_duration
-        steps = p.horizon.num_steps
+        by_id = p.network.by_id
         energy: dict[str, Fraction] = {a: Fraction(0) for a in enabled}
 
-        running: dict[str, tuple[str, int, int]] = {}  # agent -> (task, start, release)
-        transfers = []  # (src, dst, task, start, end, planned_bits, acc)
-        by_id = p.network.by_id
+        listening = {
+            a: {(e.src, e.dst, e.task, e.start, e.end) for e in plan.comms}
+            for a, plan in plans.items()
+            if plan is not None
+        }
+        starts: dict[int, list[tuple[str, str]]] = {}  # step -> (agent, task) in start order
+        transfers: list[CommEvent] = []  # sends the receiver also planned
         for a in enabled:
             plan = plans.get(a)
             if plan is None:
                 continue
+            for pl in plan.placements:
+                if pl.agent == a:
+                    starts.setdefault(pl.start, []).append((a, pl.task))
             for c in plan.comms:
                 if c.src != a:
                     continue
-                dst_plan = plans.get(c.dst)
-                agreed = dst_plan is not None and any(
-                    (e.src, e.dst, e.task, e.start, e.end) == (c.src, c.dst, c.task, c.start, c.end)
-                    for e in dst_plan.comms
-                )
-                if not agreed:
+                if (c.src, c.dst, c.task, c.start, c.end) in listening.get(c.dst, ()):
+                    transfers.append(c)
+                else:
                     trace.add(cycle, "execute", a, "comm_missed",
                               f"dst={c.dst} task={c.task} start={c.start} reason=receiver_not_listening")
-                    continue
-                transfers.append([c.src, c.dst, c.task, c.start, c.end, Fraction(0)])
+        moved = [Fraction(0)] * len(transfers)  # bits each transfer has carried so far
 
-        for k in range(steps):
-            t = t_start + k * dt
-            self.world.advance_to(t)
-            for a in enabled:
-                plan = plans.get(a)
-                if plan is None:
-                    continue
-                for pl in plan.placements:
-                    if pl.agent != a or pl.start != k:
-                        continue
-                    dur = self.scaled_duration(a, pl.task)
-                    preds = by_id[pl.task].predecessors
-                    if not self.world.enabled[a]:
-                        trace.add(cycle, "execute", a, "task_missed",
-                                  f"task={pl.task} start={k} reason=agent_disabled")
-                    elif pl.task in self.executed:
-                        trace.add(cycle, "execute", a, "task_missed",
-                                  f"task={pl.task} start={k} reason=already_done")
-                    elif any(q not in self.products[a] for q in preds):
-                        trace.add(cycle, "execute", a, "task_missed",
-                                  f"task={pl.task} start={k} reason=missing_inputs")
-                    else:
-                        running[a] = (pl.task, k, k + occupancy_steps(dur))
+        running: dict[str, tuple[str, int, int]] = {}  # agent -> (task, start, release)
+        for k in range(p.horizon.num_steps):
+            world.advance_to(t_start + k * dt)
+            for a, task in starts.get(k, ()):
+                if not world.enabled[a]:
+                    trace.add(cycle, "execute", a, "task_missed",
+                              f"task={task} start={k} reason=agent_disabled")
+                elif task in self.executed:
+                    trace.add(cycle, "execute", a, "task_missed",
+                              f"task={task} start={k} reason=already_done")
+                elif any(q not in self.products[a] for q in by_id[task].predecessors):
+                    trace.add(cycle, "execute", a, "task_missed",
+                              f"task={task} start={k} reason=missing_inputs")
+                else:
+                    running[a] = (task, k, k + occupancy_steps(self.scaled_duration(a, task)))
             # Transfers move bits at the actual, script-affected rates.
-            for tr in transfers:
-                src, dst, task, start, end, acc = tr
-                if not (start <= k <= end):
-                    continue
-                if not (self.world.enabled[src] and self.world.enabled[dst]):
-                    continue
-                if task not in self.products[src]:
-                    continue
-                tr[5] = acc + self.world.rate(p, src, dst, k) * dt
+            for i, c in enumerate(transfers):
+                if (
+                    c.start <= k <= c.end
+                    and world.enabled[c.src]
+                    and world.enabled[c.dst]
+                    and c.task in self.products[c.src]
+                ):
+                    moved[i] += world.rate(p, c.src, c.dst, k) * dt
             # Completions at the end of the step.
             for a in sorted(running):
                 task, start, release = running[a]
-                if not self.world.enabled[a]:
+                if not world.enabled[a]:
                     trace.add(cycle, "execute", a, "task_missed",
                               f"task={task} start={start} reason=disabled_mid_run")
                     del running[a]
@@ -652,28 +608,27 @@ class _CycleEngine:
                     trace.add(cycle, "execute", a, "task_done",
                               f"task={task} start={start} end={release - 1}")
                     del running[a]
-            for tr in list(transfers):
-                src, dst, task, start, end, acc = tr
-                if end != k:
+            for c, bits in zip(transfers, moved):
+                if c.end != k:
                     continue
-                size = by_id[task].product_size
+                src, dst = c.src, c.dst
+                size = by_id[c.task].product_size
                 delivered = (
-                    task in self.products[src]
-                    and self.world.enabled[src]
-                    and self.world.enabled[dst]
-                    and (acc >= size if size > 0 else any(
-                        self.world.rate(p, src, dst, kk) > 0 for kk in range(start, end + 1)
+                    c.task in self.products[src]
+                    and world.enabled[src]
+                    and world.enabled[dst]
+                    and (bits >= size if size > 0 else any(
+                        world.rate(p, src, dst, kk) > 0 for kk in range(c.start, c.end + 1)
                     ))
                 )
                 if delivered:
-                    self.products[dst].add(task)
-                    energy[src] += p.comm_energy_per_bit * acc
+                    self.products[dst].add(c.task)
+                    energy[src] += p.comm_energy_per_bit * bits
                     trace.add(cycle, "execute", src, "comm_delivered",
-                              f"dst={dst} task={task} start={start} end={end} bits={acc}")
+                              f"dst={dst} task={c.task} start={c.start} end={c.end} bits={bits}")
                 else:
                     trace.add(cycle, "execute", src, "comm_missed",
-                              f"dst={dst} task={task} start={start} reason=undelivered")
-                transfers.remove(tr)
+                              f"dst={dst} task={c.task} start={c.start} reason=undelivered")
         for a in sorted(running):
             task, start, _ = running[a]
             trace.add(cycle, "execute", a, "task_missed",

@@ -78,11 +78,8 @@ class EncodingMeta:
     energies: tuple[tuple[Fraction | None, ...], ...]
     rewards: tuple[Fraction, ...]  # effective rewards (0 for required)
     sizes: tuple[Fraction, ...]
-    preds: tuple[tuple[int, ...], ...]
     num_steps: int
-    step_duration: Fraction
     link_bits: Mapping[tuple[int, int, int], Fraction]  # (ai, aj, k) -> bits/step
-    interference: tuple[tuple[tuple[tuple[int, int], ...], Fraction], ...]
     interference_mode: bool
     comm_energy_per_bit: Fraction
     done: frozenset[int]
@@ -187,11 +184,8 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
         energies=energies,
         rewards=rewards,
         sizes=sizes,
-        preds=preds,
         num_steps=steps,
-        step_duration=dt,
         link_bits=link_bits,
-        interference=isets,
         interference_mode=interference,
         comm_energy_per_bit=p.comm_energy_per_bit,
         done=done,

@@ -125,6 +125,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and "execute phase" in err
 
+    def test_negative_script_rate_exits_2(self, capsys, scenario_file):
+        text = canned_scenario("relay").to_text()
+        assert "link src=rover dst=base bps=0" in text
+        path = scenario_file("relay.scn", text.replace("dst=base bps=0", "dst=base bps=-5"))
+        assert main(["simulate", path, "--cycles", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "negative rate" in err
+
     def test_rerun_reproduces_trace(self, tmp_path, scenario_file):
         path = scenario_file("mule.scn", canned_scenario("data_mule").to_text())
         outs = []
@@ -195,6 +203,13 @@ class TestRender:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["render", "/nonexistent", "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(bytes(range(128, 256)) * 2)
+        assert main(["render", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestExportAndGenerate:

@@ -1,6 +1,7 @@
 """Flooding consensus and the broadcast-plan-execute simulation."""
 
 import random
+from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
@@ -8,15 +9,20 @@ import pytest
 
 from commsched.distsim import (
     AgentState,
+    RATE_LEVELS,
+    REWARD_LEVELS,
     REWARD_SLOTS,
     ScriptEvent,
     WorldScript,
     flood,
     flooding_time_bound,
+    rate_floor,
+    rung,
     run_cycles,
     state_size_bits,
     trace_from_text,
 )
+from commsched.model import SoftwareNetwork
 from commsched.scenarios import canned_scenario
 
 
@@ -107,6 +113,23 @@ class TestStateSize:
             AgentState("a0", (7,), 7, tuple([0] * (REWARD_SLOTS + 1)))
 
 
+class TestRungs:
+    @pytest.mark.parametrize(
+        "rate, level",
+        [(-5, 0), (0, 0), (Fraction(999), 0), (1_000, 1), (Fraction(20_001, 2), 2),
+         (10_999_999, 6), (11_000_000, 7), (10**9, 7)],
+    )
+    def test_rate_rungs(self, rate, level):
+        assert rung(RATE_LEVELS, rate) == level
+        assert rate_floor(rate) == RATE_LEVELS[level]
+
+    @pytest.mark.parametrize(
+        "reward, level", [(-1, 0), (0, 0), (Fraction(9, 2), 0), (5, 1), (19, 2), (50, 3)]
+    )
+    def test_reward_rungs(self, reward, level):
+        assert rung(REWARD_LEVELS, reward) == level
+
+
 class TestFloodingBound:
     def test_ten_agents_at_5kbps(self):
         assert flooding_time_bound(10, 5000) == Fraction(954, 1000)
@@ -154,11 +177,7 @@ class TestRunCycles:
         sc = canned_scenario("relay")
         p = sc.to_problem()
         trace = run_cycles(p, sc.script, sc.cycle, 1, sc.capabilities())
-        hops = [
-            dict(kv.split("=", 1) for kv in r.payload.split())
-            | {"src": r.agent}
-            for r in trace.select(event="comm_delivered")
-        ]
+        hops = [r.fields() | {"src": r.agent} for r in trace.select(event="comm_delivered")]
         legs = {(h["src"], h["dst"]) for h in hops if h["task"] == "sample_rover"}
         assert ("rover", "relay") in legs and ("relay", "base") in legs
 
@@ -166,10 +185,7 @@ class TestRunCycles:
         sc = canned_scenario("data_mule")
         p = sc.to_problem()
         trace = run_cycles(p, sc.script, sc.cycle, 1, sc.capabilities())
-        deliveries = [
-            (r.agent, dict(kv.split("=", 1) for kv in r.payload.split()))
-            for r in trace.select(event="comm_delivered")
-        ]
+        deliveries = [(r.agent, r.fields()) for r in trace.select(event="comm_delivered")]
         to_mule = [int(kv["end"]) for agent, kv in deliveries if kv["dst"] == "mule"]
         from_mule = [int(kv["start"]) for agent, kv in deliveries if agent == "mule"]
         assert to_mule and from_mule
@@ -215,10 +231,18 @@ class TestRunCycles:
         trace = run_cycles(p, sc.script, sc.cycle, 1, caps)
         done = {
             kv["task"]: (int(kv["start"]), int(kv["end"]))
-            for kv in (
-                dict(kv.split("=", 1) for kv in r.payload.split())
-                for r in trace.select(event="task_done")
-            )
+            for kv in (r.fields() for r in trace.select(event="task_done"))
         }
         start, end = done["sample_rover"]
         assert end - start + 1 == 2  # 1 s task at half speed spans 2 steps
+
+    def test_cyclic_template_rejected(self):
+        sc = canned_scenario("relay")
+        p = sc.to_problem()
+        tasks = [
+            replace(t, predecessors=frozenset({"deliver_base"})) if t.id == "sample_rover" else t
+            for t in p.network.tasks
+        ]
+        cyclic = replace(p, network=SoftwareNetwork(tasks))
+        with pytest.raises(ValueError, match="cycle"):
+            run_cycles(cyclic, sc.script, sc.cycle, 1, sc.capabilities())

@@ -4,7 +4,9 @@ A change that keeps this digest keeps every encoding, every search tree and
 every decoded schedule on the corpus byte-identical. A change that alters
 any of them on purpose must pin the new digest and say why. A second digest
 pins `propagate` and `bound` on partial fixings of the same corpus, many of
-them conflicting, which `solve` alone never reaches.
+them conflicting, which `solve` alone never reaches. A third pins the
+simulator's traces, including a lone agent, no live link, links below the
+lowest rate rung, no agent at all, a slower agent and a mid-execute outage.
 """
 
 import hashlib
@@ -24,12 +26,14 @@ from commsched import (
     solve,
 )
 from commsched.baseline import selfish_schedule
-from commsched.scenarios import canned_scenario
+from commsched.distsim import ScriptEvent, WorldScript, run_cycles
+from commsched.scenarios import canned_scenario, generate_random
 
 from helpers import interference_instance, random_instance
 
 GOLDEN_SHA256 = "1f01ef356a83cc363cdedf695598cc24f336b1c7d5cde62132b20227cc5939ce"
 PROPAGATE_SHA256 = "09085e168464b8d56a685c12aae224c01deae88020e3fff478eba9b8737c9260"
+TRACE_SHA256 = "fa3839eef381cfbf62f629d5b11e54dce166bd7922c5da03ac84f04ef076bd81"
 
 CANNED = ("relay", "science_cluster", "assembly_line", "data_mule")
 OBJECTIVES = (Objective.reward, Objective.makespan, Objective.energy)
@@ -84,3 +88,42 @@ def test_propagate_and_bound_match_golden_digest():
                 text = " ".join(f"{col}={v}" for col, v in sorted(fixed.items()))
             h.update(f"{text}\nbound {bound(inst, fixing)}\n".encode())
     assert h.hexdigest() == PROPAGATE_SHA256
+
+
+def simulations():
+    """(scenario, script, capabilities, cycles) in digest order."""
+    for name in CANNED:
+        sc = canned_scenario(name)
+        yield sc, sc.script, sc.capabilities(), 3
+    sc = canned_scenario("relay")
+    agents = [a.id for a in sc.agents]
+
+    def with_events(*events):
+        return WorldScript(sc.script.events + events)
+
+    def all_links(bps):
+        return with_events(
+            *(ScriptEvent(0, "link", i, j, bps) for i in agents for j in agents if i != j)
+        )
+
+    yield sc, with_events(
+        *(ScriptEvent(0, "agent", a, "", 0) for a in agents if a != "rover")
+    ), sc.capabilities(), 2
+    yield sc, all_links(0), sc.capabilities(), 2
+    yield sc, all_links(500), sc.capabilities(), 2
+    yield sc, with_events(*(ScriptEvent(0, "agent", a, "", 0) for a in agents)), sc.capabilities(), 2
+    yield sc, sc.script, sc.capabilities() | {"rover": 6}, 2
+    yield sc, with_events(
+        ScriptEvent(18, "agent", "relay", "", 0), ScriptEvent(60, "agent", "relay", "", 1)
+    ), sc.capabilities(), 3
+    sc = generate_random(4, 0.5, 1, seed=3)
+    sc = replace(sc, cycle=replace(sc.cycle, budget=SolveBudget(200)))
+    yield sc, sc.script, sc.capabilities(), 2
+
+
+def test_simulation_traces_match_golden_digest():
+    h = hashlib.sha256()
+    for sc, script, capabilities, cycles in simulations():
+        trace = run_cycles(sc.to_problem(), script, sc.cycle, cycles, capabilities)
+        h.update(trace.to_text().encode())
+    assert h.hexdigest() == TRACE_SHA256

@@ -174,6 +174,12 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError, match="capability"):
             parse_scenario(text)
 
+    def test_negative_script_rate_rejected(self):
+        text = canned_scenario("relay").to_text()
+        text = text.replace("link src=rover dst=base bps=0", "link src=rover dst=base bps=-1/2")
+        with pytest.raises(ValueError, match="negative rate"):
+            parse_scenario(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario("[AGENTS]\n")
