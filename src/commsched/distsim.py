@@ -347,9 +347,10 @@ class _CycleEngine:
         if capabilities:
             self.caps.update(capabilities)
         in_zone = {a: False for a in p.agent_ids}
+        self.owner = {t.id: baseline.owner_of(p, t.id) for t in p.network.tasks}
         self.owned: dict[str, list[str]] = {a: [] for a in p.agent_ids}
         for t in p.network.tasks:
-            owner = baseline.owner_of(p, t.id)
+            owner = self.owner[t.id]
             if owner is not None:
                 self.owned[owner].append(t.id)
                 if t.category == "collect":
@@ -422,7 +423,7 @@ class _CycleEngine:
             if task.id in done:
                 tasks.append(task)  # kept for product routing
                 continue
-            if baseline.owner_of(p, task.id) not in visible:
+            if self.owner[task.id] not in visible:
                 continue
             if not task.required and task.id not in offered:
                 continue

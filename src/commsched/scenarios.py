@@ -379,17 +379,23 @@ class ScenarioFile:
         return "\n".join(out) + "\n"
 
 
-def _kv(parts: Sequence[str], allowed: set[str], where: str) -> dict[str, str]:
+def _kv(
+    parts: Sequence[str], where: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> dict[str, str]:
+    """The key=value fields of one record; every `required` key must be there."""
     kv = {}
     for part in parts:
         if "=" not in part:
             raise ScenarioFormatError(f"{where}: expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ScenarioFormatError(f"{where}: unknown field {key!r}")
         if key in kv:
             raise ScenarioFormatError(f"{where}: duplicate field {key!r}")
         kv[key] = value
+    for key in required:
+        if key not in kv:
+            raise ScenarioFormatError(f"{where}: missing field {key!r}")
     return kv
 
 
@@ -427,7 +433,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         kind = parts[0]
         if section == "[AGENTS]":
             if kind == "agent":
-                kv = _kv(parts[1:], {"id", "base", "capability", "pos"}, ln)
+                kv = _kv(parts[1:], ln, ("id",), ("base", "capability", "pos"))
                 capability = int(kv.get("capability", "7"))
                 if not 0 <= capability <= 7:
                     raise ScenarioFormatError(f"{ln}: capability {capability} is not a level 0-7")
@@ -447,14 +453,16 @@ def parse_scenario(text: str) -> ScenarioFile:
                     )
                 )
             elif kind == "cost":
-                kv = _kv(parts[1:], {"agent", "task", "time", "energy"}, ln)
+                kv = _kv(parts[1:], ln, ("agent", "task", "time", "energy"))
                 costs[(kv["agent"], kv["task"])] = (_cost_entry(kv["time"]), _cost_entry(kv["energy"]))
             else:
                 raise ScenarioFormatError(f"unexpected {kind!r} in [AGENTS]")
         elif section == "[TASKS]":
             if kind != "task":
                 raise ScenarioFormatError(f"unexpected {kind!r} in [TASKS]")
-            kv = _kv(parts[1:], {"id", "required", "reward", "size", "preds", "owner", "category", "storage"}, ln)
+            kv = _kv(
+                parts[1:], ln, ("id",), ("required", "reward", "size", "preds", "owner", "category", "storage")
+            )
             preds = {q for q in kv.get("preds", "").split(",") if q}
             tasks.append(
                 Task(
@@ -473,12 +481,12 @@ def parse_scenario(text: str) -> ScenarioFile:
         elif section == "[CONTACTS]":
             if kind != "rate":
                 raise ScenarioFormatError(f"unexpected {kind!r} in [CONTACTS]")
-            kv = _kv(parts[1:], {"src", "dst", "start", "end", "bps"}, ln)
+            kv = _kv(parts[1:], ln, ("src", "dst", "start", "end", "bps"))
             rates.append((kv["src"], kv["dst"], int(kv["start"]), int(kv["end"]), frac(kv["bps"])))
         elif section == "[GEOMETRY]":
             if kind != "obstruction":
                 raise ScenarioFormatError(f"unexpected {kind!r} in [GEOMETRY]")
-            kv = _kv(parts[1:], {"points"}, ln)
+            kv = _kv(parts[1:], ln, ("points",))
             poly = []
             for chunk in kv["points"].split(";"):
                 x, y = chunk.split(",")
@@ -491,26 +499,26 @@ def parse_scenario(text: str) -> ScenarioFile:
                 raise ScenarioFormatError(f"unexpected {kind!r} in [SCRIPT]")
             if len(parts) < 3:
                 raise ScenarioFormatError(f"bad script line {ln!r}")
-            t = _kv(parts[1:2], {"t"}, ln)["t"]
+            t = _kv(parts[1:2], ln, ("t",))["t"]
             ev_kind = parts[2]
             if ev_kind == "link":
-                kv = _kv(parts[3:], {"src", "dst", "bps"}, ln)
+                kv = _kv(parts[3:], ln, ("src", "dst", "bps"))
                 events.append(ScriptEvent(frac(t), "link", kv["src"], kv["dst"], frac(kv["bps"])))
             elif ev_kind == "agent":
-                kv = _kv(parts[3:], {"id", "enabled"}, ln)
+                kv = _kv(parts[3:], ln, ("id", "enabled"))
                 events.append(ScriptEvent(frac(t), "agent", kv["id"], "", int(kv["enabled"])))
             elif ev_kind == "zone":
-                kv = _kv(parts[3:], {"agent", "in"}, ln)
+                kv = _kv(parts[3:], ln, ("agent", "in"))
                 events.append(ScriptEvent(frac(t), "zone", kv["agent"], "", int(kv["in"])))
             else:
                 raise ScenarioFormatError(f"unknown script event {ev_kind!r}")
         elif section == "[CONFIG]":
             if kind == "horizon":
-                kv = _kv(parts[1:], {"seconds", "steps"}, ln)
+                kv = _kv(parts[1:], ln, ("seconds", "steps"))
                 config["horizon_s"] = frac(kv["seconds"])
                 config["steps"] = int(kv["steps"])
             elif kind == "objective":
-                kv = _kv(parts[1:], {"kind", "terms"}, ln)
+                kv = _kv(parts[1:], ln, ("kind",), ("terms",))
                 if kv["kind"] == "weighted":
                     terms = []
                     for chunk in kv.get("terms", "").split(","):
@@ -520,7 +528,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                 else:
                     config["objective"] = Objective(kv["kind"])
             elif kind == "cycle":
-                kv = _kv(parts[1:], {"broadcast", "plan", "execute", "budget_nodes"}, ln)
+                kv = _kv(parts[1:], ln, ("broadcast", "plan", "execute", "budget_nodes"))
                 config["cycle"] = CycleConfig(
                     frac(kv["broadcast"]),
                     frac(kv["plan"]),
@@ -528,14 +536,14 @@ def parse_scenario(text: str) -> ScenarioFile:
                     SolveBudget(int(kv["budget_nodes"])),
                 )
             elif kind == "interference":
-                kv = _kv(parts[1:], {"cap", "links"}, ln)
+                kv = _kv(parts[1:], ln, ("cap", "links"))
                 links = set()
                 for chunk in kv["links"].split(","):
                     src, dst = chunk.split(">")
                     links.add((src, dst))
                 interference.append(InterferenceSet(frozenset(links), frac(kv["cap"])))
             elif kind == "comm_energy":
-                kv = _kv(parts[1:], {"per_bit"}, ln)
+                kv = _kv(parts[1:], ln, ("per_bit",))
                 config["comm_energy"] = frac(kv["per_bit"])
             else:
                 raise ScenarioFormatError(f"unexpected {kind!r} in [CONFIG]")

@@ -12,14 +12,22 @@ Propagation works on a presolved form of the rows, built once per solve:
 - a binary row x - y <= 0 (the `kno` and `pre` rows, most of the encoding)
   becomes two implication lists, x=1 forces y=1 and y=0 forces x=0; the
   trail is their queue, and the pinned columns are its first entries;
-- every other row keeps its activity bounds amin and amax, moved by deltas
-  precomputed per column for fixing it to 0 and to 1. Only a change that
-  can tighten the row is listed: a rise of amin, or a fall of amax on an
-  equality row, since a <= row never reads amax. A row whose slack is at
-  least its largest coefficient cannot force anything and is skipped.
+- every other row is kept as a <= row, an equality a.x = b as the pair
+  a.x <= b and -a.x <= -b. A <= row needs only its least activity amin,
+  moved by a delta precomputed per column for the value that raises it, and
+  a rise of amin is what queues the row again. The row fails when amin
+  exceeds its right-hand side and forces every open column whose
+  coefficient no longer fits in the slack; a row whose slack is at least
+  its largest coefficient cannot force anything and is skipped.
 Bound propagation is monotone, so every order of these steps reaches the
 same fixpoint or the same conflict as rescanning all rows would, and every
 search tree is the one the plain row form gives.
+
+The search state is the value of each binary column, the trail that undoes
+it and the rows' amin; no tally is kept in step with it. The bound and the
+leaf completion read the placed tasks, their completions and the fixed
+objective terms from the column values, in exact arithmetic, so the order
+of the terms cannot change a value.
 
 Storage-flag (D) columns are never branched: once every X and C column is
 decided, propagation has fixed each D that matters and the rest complete to
@@ -104,9 +112,9 @@ class _Search:
     """Trail-based propagation state shared by solve/propagate/bound.
 
     The fixings of binary columns form a trail; its entries before `head`
-    have had their implications applied. The rows that are not implications
-    live in compact arrays (`row_cols`, `amin`, ...), and `row_index` maps
-    each back to its position in `inst.rows`.
+    have had their implications applied. The <= rows live in compact arrays
+    (`row_cols`, `amin`, ...), and `row_index` maps each back to its
+    position in `inst.rows`; both halves of an equality map to the same one.
     """
 
     def __init__(self, inst: IlpInstance):
@@ -122,23 +130,20 @@ class _Search:
         # implied[v][col]: the columns forced to v once col is v. A row
         # x - y <= 0 gives x=1 => y=1 and y=0 => x=0.
         implied = (defaultdict(list), defaultdict(list))
-        # lo[v][col] and hi[v][col]: (row, delta) for each row whose amin rises
-        # or whose amax falls when col is fixed to v. Only an equality row
-        # reads amax, so only equality rows have hi entries.
-        lo0, lo1, hi0, hi1 = (defaultdict(list) for _ in range(4))
+        # lo[v][col]: (row, delta) for each row whose amin rises when col is
+        # fixed to v.
+        lo0, lo1 = defaultdict(list), defaultdict(list)
         self.row_index: list[int] = []
         self.row_cols: list[tuple[int, ...]] = []
         self.row_coefs: list[tuple[int, ...]] = []
-        self.row_eq: list[bool] = []
         self.row_rhs: list[int] = []
         self.row_maxabs: list[int] = []  # largest |a| over the binary columns
         self.amin: list = []
-        self.amax: list = []
         self.r_rows: list[int] = []  # rows holding an R column, in row order
         z_col = inst.z_col
         for ri, row in enumerate(inst.rows):
-            coeffs = row.coeffs
-            if len(coeffs) == 2 and row.rhs == 0 and row.sense == LE:
+            coeffs, rhs = row.coeffs, row.rhs
+            if len(coeffs) == 2 and rhs == 0 and row.sense == LE:
                 (c0, a0), (c1, a1) = coeffs
                 if a0 == -a1 and is_binary[c0] and is_binary[c1]:
                     if a0 < 0:
@@ -146,48 +151,39 @@ class _Search:
                     implied[1][c0].append(c1)
                     implied[0][c1].append(c0)
                     continue
-            gi = len(self.row_index)
-            amin = amax = 0
+            forms = [(coeffs, rhs)]
+            if row.sense == EQ:  # a.x = b is a.x <= b and -a.x <= -b
+                forms.append((tuple((col, -a) for col, a in coeffs), -rhs))
             has_r = False
-            cols, coefs = zip(*coeffs)
-            if not all(map(is_binary.__getitem__, cols)):
-                # The search decides binary columns only; z and R count at their bounds.
-                for col, a in coeffs:
-                    if not is_binary[col]:
-                        has_r = has_r or col != z_col  # the other continuous columns are R
-                        v = variables[col]
-                        amin += min(a * v.lb, a * v.ub)
-                        amax += max(a * v.lb, a * v.ub)
-                coeffs = tuple((col, a) for col, a in coeffs if is_binary[col])
-                cols, coefs = tuple(zip(*coeffs)) or ((), ())
-            total, spread = sum(coefs), sum(map(abs, coefs))
-            amin += (total - spread) // 2  # the negative coefficients
-            amax += (total + spread) // 2  # the positive ones
-            for col, a in coeffs:
-                if a > 0:
-                    lo1[col].append((gi, a))
-                else:
-                    lo0[col].append((gi, -a))
-            eq = row.sense == EQ
-            if eq:
+            for coeffs, rhs in forms:
+                gi = len(self.row_index)
+                amin = 0
+                cols, coefs = zip(*coeffs)
+                if not all(map(is_binary.__getitem__, cols)):
+                    # The search decides binary columns only; z and R count at their bounds.
+                    for col, a in coeffs:
+                        if not is_binary[col]:
+                            has_r = has_r or col != z_col  # the other continuous columns are R
+                            v = variables[col]
+                            amin += min(a * v.lb, a * v.ub)
+                    coeffs = tuple((col, a) for col, a in coeffs if is_binary[col])
+                    cols, coefs = tuple(zip(*coeffs)) or ((), ())
+                amin += (sum(coefs) - sum(map(abs, coefs))) // 2  # the negative coefficients
                 for col, a in coeffs:
                     if a > 0:
-                        hi0[col].append((gi, -a))
+                        lo1[col].append((gi, a))
                     else:
-                        hi1[col].append((gi, a))
+                        lo0[col].append((gi, -a))
+                self.row_index.append(ri)
+                self.row_cols.append(cols)
+                self.row_coefs.append(coefs)
+                self.row_rhs.append(rhs)
+                self.row_maxabs.append(max(map(abs, coefs), default=0))
+                self.amin.append(amin)
             if has_r:
                 self.r_rows.append(ri)
-            self.row_index.append(ri)
-            self.row_cols.append(cols)
-            self.row_coefs.append(coefs)
-            self.row_eq.append(eq)
-            self.row_rhs.append(row.rhs)
-            self.row_maxabs.append(max(map(abs, coefs), default=0))
-            self.amin.append(amin)
-            self.amax.append(amax)
         self.implied = tuple(_dense(d, n) for d in implied)
         self.lo = (_dense(lo0, n), _dense(lo1, n))
-        self.hi = (_dense(hi0, n), _dense(hi1, n))
 
         m = len(self.row_index)
         self.trail: list[int] = []
@@ -196,16 +192,9 @@ class _Search:
         self.in_queue = bytearray([1]) * m
 
         self.obj = dict(inst.objective)
-        self.obj_fixed = Fraction(0)  # objective over the binary columns fixed to 1
-        self.x_by_task: dict[int, list[tuple[int, int]]] = {}
-        self.x_info: dict[int, tuple[int, int]] = {}
+        self.x_by_task: dict[int, list[tuple[int, int]]] = {}  # task -> (X column, completion)
         for (ai, ti, k), col in inst.x_index.items():
-            completion = k + meta.durations[ai][ti]
-            self.x_by_task.setdefault(ti, []).append((col, completion))
-            self.x_info[col] = (ti, completion)
-        self.alive_x = {ti: len(cols) for ti, cols in self.x_by_task.items()}
-        self.placed: dict[int, int | None] = {ti: None for ti in self.x_by_task}
-        self.max_completion = 0
+            self.x_by_task.setdefault(ti, []).append((col, k + meta.durations[ai][ti]))
         self.optional = sorted(
             ti for ti in self.x_by_task if ti not in meta.required and meta.rewards[ti] > 0
         )
@@ -225,59 +214,26 @@ class _Search:
             return s == value
         self.state[col] = value
         self.trail.append(col)
-        amin, amax, in_queue = self.amin, self.amax, self.in_queue
+        amin, in_queue = self.amin, self.in_queue
         for gi, d in self.lo[value][col]:
             amin[gi] += d
             if not in_queue[gi]:
                 in_queue[gi] = 1
                 self.queue.append(gi)
-        for gi, d in self.hi[value][col]:
-            amax[gi] += d
-            if not in_queue[gi]:
-                in_queue[gi] = 1
-                self.queue.append(gi)
-        info = self.x_info.get(col)
-        if value == 1:
-            c = self.obj.get(col)
-            if c:
-                self.obj_fixed += c
-            if info is not None:
-                ti, completion = info
-                self.placed[ti] = col
-                if completion > self.max_completion:
-                    self.max_completion = completion
-        elif info is not None:
-            self.alive_x[info[0]] -= 1
         return True
 
     def undo_to(self, mark: int):
-        trail, state = self.trail, self.state
-        amin, amax = self.amin, self.amax
+        trail, state, amin = self.trail, self.state, self.amin
         while len(trail) > mark:
             col = trail.pop()
             value = state[col]
             state[col] = -1
             for gi, d in self.lo[value][col]:
                 amin[gi] -= d
-            for gi, d in self.hi[value][col]:
-                amax[gi] -= d
-            info = self.x_info.get(col)
-            if value == 1:
-                c = self.obj.get(col)
-                if c:
-                    self.obj_fixed -= c
-                if info is not None:
-                    self.placed[info[0]] = None
-            elif info is not None:
-                self.alive_x[info[0]] += 1
         self.head = mark
         for gi in self.queue:
             self.in_queue[gi] = 0
         self.queue.clear()
-        self.max_completion = 0
-        for ti, col in self.placed.items():
-            if col is not None and self.x_info[col][1] > self.max_completion:
-                self.max_completion = self.x_info[col][1]
 
     def propagate_pending(self) -> bool:
         trail, state = self.trail, self.state
@@ -305,87 +261,69 @@ class _Search:
                 return False
 
     def _propagate_row(self, gi: int) -> bool:
-        rhs = self.row_rhs[gi]
-        amin = self.amin[gi]
-        maxabs = self.row_maxabs[gi]
-        state = self.state
-        cols, coefs = self.row_cols[gi], self.row_coefs[gi]
-        if not self.row_eq[gi]:
-            # Fixings forced by a <= row leave its amin as it is.
-            if amin > rhs:
-                return False
-            slack = rhs - amin
-            if maxabs <= slack:
-                return True
-            for col, a in zip(cols, coefs):
-                if state[col] == -1:
-                    if a > slack:
-                        self.fix(col, 0)
-                    elif -a > slack:
-                        self.fix(col, 1)
-            return True
-        amax = self.amax[gi]
-        if amin > rhs or amax < rhs:
+        # Fixings forced by a <= row leave its amin as it is.
+        slack = self.row_rhs[gi] - self.amin[gi]
+        if slack < 0:
             return False
-        if amin + maxabs <= rhs <= amax - maxabs:
+        if self.row_maxabs[gi] <= slack:
             return True
-        for col, a in zip(cols, coefs):
-            if state[col] != -1:
-                continue
-            if a > 0:
-                if amin + a > rhs:
+        state = self.state
+        for col, a in zip(self.row_cols[gi], self.row_coefs[gi]):
+            if state[col] == -1:
+                if a > slack:
                     self.fix(col, 0)
-                elif amax - a < rhs:
+                elif -a > slack:
                     self.fix(col, 1)
-                else:
-                    continue
-            elif amax + a < rhs:
-                self.fix(col, 0)
-            elif amin - a > rhs:
-                self.fix(col, 1)
-            else:
-                continue
-            amin = self.amin[gi]
-            amax = self.amax[gi]
         return True
 
     # -- bound ------------------------------------------------------------
 
+    def placed_completions(self) -> dict[int, int]:
+        """The completion step of each task with an X column at 1."""
+        state = self.state
+        return {
+            ti: completion
+            for ti, xs in self.x_by_task.items()
+            for col, completion in xs
+            if state[col] == 1
+        }
+
+    def _open_x(self, ti: int) -> list[tuple[int, int]]:
+        """The (X column, completion) pairs of task ti that are still open."""
+        state = self.state
+        return [(col, end) for col, end in self.x_by_task.get(ti, ()) if state[col] == -1]
+
     def bound(self):
         """Admissible upper bound on any completion of the current fixing."""
-        meta = self.inst.meta
         w = self.weights
-        total = self.obj_fixed
+        if w is None:
+            raise ValueError("the instance has no objective; install one with encode_objective")
+        meta, state, obj = self.inst.meta, self.state, self.obj
+        total = sum((c for col, c in obj.items() if state[col] == 1), Fraction(0))
+        placed = self.placed_completions()
         if w["reward"] > 0:
-            rew = Fraction(0)
-            for ti in self.optional:
-                if self.placed[ti] is None and self.alive_x[ti] > 0:
-                    rew += meta.rewards[ti]
+            rew = sum(
+                (meta.rewards[ti] for ti in self.optional if ti not in placed and self._open_x(ti)),
+                Fraction(0),
+            )
             total += w["reward"] * rew
         if w["energy"] > 0:
             # A required task earns no reward, so its X coefficients are
             # minus weighted energies: an open one adds its cheapest live one.
             for ti in self.required_open:
-                if self.placed.get(ti) is None:
-                    best = None
-                    for col, _ in self.x_by_task.get(ti, ()):
-                        c = self.obj.get(col, Fraction(0))
-                        if self.state[col] != 0 and (best is None or c > best):
-                            best = c
-                    if best is None:
+                if ti not in placed:
+                    live = self._open_x(ti)
+                    if not live:
                         return NEG_INF
-                    total += best
+                    total += max(obj.get(col, Fraction(0)) for col, _ in live)
         if w["makespan"] > 0:
-            horizon = self.max_completion
+            horizon = max(placed.values(), default=0)
             for ti in self.required_open:
-                if self.placed.get(ti) is None:
-                    best = None
-                    for col, completion in self.x_by_task.get(ti, ()):
-                        if self.state[col] != 0 and (best is None or completion < best):
-                            best = completion
-                    if best is None:
+                if ti not in placed:
+                    live = self._open_x(ti)
+                    if not live:
                         return NEG_INF
-                    horizon = max(horizon, best)
+                    horizon = max(horizon, min(completion for _, completion in live))
             total -= w["makespan"] * horizon
         return total
 
@@ -396,7 +334,7 @@ class _Search:
         inst = self.inst
         values: dict[int, int | Fraction] = {col: 1 for col, s in enumerate(self.state) if s == 1}
         if inst.z_col is not None:
-            values[inst.z_col] = self.max_completion
+            values[inst.z_col] = max(self.placed_completions().values(), default=0)
         if inst.meta.interference_mode and not self._complete_r(values):
             return None
         return values
@@ -411,8 +349,8 @@ class _Search:
         inst = self.inst
         active = [
             col
-            for (ai, aj, ti, k), col in sorted(inst.r_index.items(), key=lambda kv: kv[1])
-            if values.get(inst.c_index[(ai, aj, ti, k)]) == 1 and inst.variables[col].ub > 0
+            for key, col in inst.r_index.items()  # in column order
+            if values.get(inst.c_index[key]) == 1 and inst.variables[col].ub > 0
         ]
         var_of = {col: i for i, col in enumerate(active)}
         cons = []
@@ -465,7 +403,7 @@ def _strip_idle_transfers(
 
     The assignment is feasible throughout, so zeroing a C column can break
     only the rows that fixing it to 0 tightens in the search: the rows in
-    its `lo`/`hi` entries and the implication rows x - C <= 0. Its R column
+    its `lo[0]` entries and the implication rows x - C <= 0. Its R column
     is checked against every row that holds it.
     """
     inst = search.inst
@@ -481,8 +419,7 @@ def _strip_idle_transfers(
         act = sum(a * values.get(col, 0) for col, a in row.coeffs)
         return act == row.rhs if row.sense == EQ else act <= row.rhs
 
-    order = sorted(inst.c_index.items(), key=lambda kv: kv[1])
-    for (ai, aj, ti, k), col in order:
+    for (ai, aj, ti, k), col in inst.c_index.items():  # in column order
         if not values.get(col) or inst.objective.get(col):
             continue
         rcol = inst.r_index.get((ai, aj, ti, k))
@@ -494,7 +431,6 @@ def _strip_idle_transfers(
             values[rcol] = 0
         values[col] = 0
         affected = [search.row_index[gi] for gi, _ in search.lo[0][col]]
-        affected += [search.row_index[gi] for gi, _ in search.hi[0][col]]
         if rcol is not None:
             affected += r_rows_of.get(rcol, ())
         if any(values.get(x) for x in search.implied[0][col]) or not all(

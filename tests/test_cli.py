@@ -88,6 +88,13 @@ class TestSolve:
         assert main([command, scenario_file("cap.scn", text)]) == 2
         assert "capability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "export"])
+    def test_missing_field_exits_2(self, capsys, scenario_file, command):
+        text = MINIMAL.replace("horizon seconds=4 steps=4", "horizon seconds=4")
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing field 'steps'" in err
+
     def test_objective_override(self, tmp_path, scenario_file):
         out = tmp_path / "r.txt"
         rc = main(["solve", scenario_file("min.scn", MINIMAL), "--objective", "reward",

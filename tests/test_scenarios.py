@@ -180,6 +180,34 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="negative rate"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("agent id=rover base=0", "agent base=0", "id"),
+            ("task=deliver_base time=1 energy=1", "task=deliver_base time=1", "energy"),
+            ("task id=sample_rover ", "task ", "id"),
+            ("rate src=rover dst=relay", "rate dst=relay", "src"),
+            ("[CONTACTS]", "[GEOMETRY]\nobstruction\n[CONTACTS]", "points"),
+            ("dst=base bps=0", "dst=base", "bps"),
+            ("[CONFIG]", "at t=1 agent enabled=0\n[CONFIG]", "id"),
+            ("[CONFIG]", "at t=1 zone agent=rover\n[CONFIG]", "in"),
+            ("horizon seconds=8 steps=8", "horizon seconds=8", "steps"),
+            ("objective kind=reward", "objective terms=reward:1", "kind"),
+            (" budget_nodes=2000", "", "budget_nodes"),
+            ("[END]", "interference links=rover>relay\n[END]", "cap"),
+            ("comm_energy per_bit=0", "comm_energy", "per_bit"),
+        ],
+        ids=[
+            "agent", "cost", "task", "rate", "obstruction", "link-event", "agent-event",
+            "zone-event", "horizon", "objective", "cycle", "interference", "comm_energy",
+        ],
+    )
+    def test_missing_field_rejected(self, old, new, field):
+        text = canned_scenario("relay").to_text()
+        assert text.count(old) == 1
+        with pytest.raises(ScenarioFormatError, match=f"missing field '{field}'"):
+            parse_scenario(text.replace(old, new))
+
     def test_missing_header_rejected(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario("[AGENTS]\n")

@@ -29,7 +29,7 @@ from commsched import (
 from commsched.baseline import selfish_schedule
 from commsched.model import Placement
 from commsched.scenarios import canned_scenario
-from commsched.solver import NEG_INF
+from commsched.solver import NEG_INF, _propagated, _Search
 
 from helpers import interference_instance, random_instance
 
@@ -121,6 +121,15 @@ class TestSolve:
         res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(200000))
         assert res.status == "optimal"
         assert res.incumbent_value == brute_force(p).objective_value
+
+    def test_solve_and_bound_need_an_objective(self):
+        p, _ = offload_problem()
+        inst = encode(p)  # no encode_objective
+        with pytest.raises(ValueError, match="encode_objective"):
+            solve(inst, selfish_schedule(p), SolveBudget(10))
+        with pytest.raises(ValueError, match="encode_objective"):
+            bound(inst, {})
+        assert propagate(inst, {}) is not CONFLICT
 
     @pytest.mark.parametrize("case", ["makespan", "reward", "interference"])
     def test_checks_only_the_seed(self, monkeypatch, case):
@@ -318,3 +327,49 @@ class TestAgainstReferenceFixpoint:
         else:
             # The fixpoint propagates to itself, so it must bound the same.
             assert bound(inst, fixing) == bound(inst, expected)
+
+
+UNDO_OBJECTIVES = {
+    "reward": Objective.reward(),
+    "energy": Objective.energy(),
+    "makespan": Objective.makespan(),
+    "weighted": Objective.weighted([("reward", 2), ("energy", 1), ("makespan", 3)]),
+}
+
+
+@functools.cache
+def _instance_with(kind, seed, objective):
+    interference = kind == "interference"
+    p = interference_instance(seed) if interference else random_instance(seed)
+    return encode_objective(p, UNDO_OBJECTIVES[objective], encode(p, interference=interference))
+
+
+class TestBacktracking:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_undo_restores_the_state_of_the_kept_prefix(self, data):
+        inst = _instance_with(
+            data.draw(st.sampled_from(["random", "interference"])),
+            data.draw(st.integers(0, 40)),
+            data.draw(st.sampled_from(sorted(UNDO_OBJECTIVES))),
+        )
+        search = _Search(inst)
+        assert search.propagate_pending()
+        decisions = data.draw(
+            st.lists(st.tuples(st.sampled_from(inst.branch_cols), st.integers(0, 1)), max_size=12)
+        )
+        # marks[i]: the trail length once decisions[:i] are fixed and propagated.
+        marks = [len(search.trail)]
+        for col, value in decisions:
+            if not (search.fix(col, value) and search.propagate_pending()):
+                break
+            marks.append(len(search.trail))
+        keep = data.draw(st.integers(0, len(marks) - 1))
+        event(f"undo {len(marks) - 1 - keep} of {len(marks) - 1} decisions")
+        search.undo_to(marks[keep])
+        fresh = _propagated(inst, dict(decisions[:keep]))
+        assert fresh is not None
+        assert search.propagate_pending()
+        assert search.state == fresh.state
+        assert search.amin == fresh.amin
+        assert search.bound() == fresh.bound()
