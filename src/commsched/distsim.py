@@ -11,6 +11,13 @@ delivered products are dropped.
 Agents that end a broadcast phase with an incomplete view plan on the
 partial view; the divergence is recorded in the trace rather than repaired.
 
+The planning instance is a pure function of the flooded view, never of the
+agent that holds it, so the simulator computes each distinct view's plan once
+per cycle and hands it to every agent holding that view. Each agent still
+gets its own trace lines. Under complete flooding the agreement check thus
+guards the flood; that independent solves agree is the determinism contract,
+tested across processes in the test suite.
+
 Flood timing: with n agents enabled, N in the catalog and r_min the lowest
 rate-rung floor over the live links (0 when there is none), a round takes
 n(3N + 23)/r_min seconds, 0 for a lone agent and the whole broadcast phase
@@ -40,7 +47,7 @@ from .model import (
     occupancy_steps,
     validate_problem,
 )
-from .solver import SolveBudget, solve
+from .solver import SolveBudget, SolveResult, solve
 
 #: Link bandwidth quantization rungs (bits/second), 3 bits -> 8 levels.
 #: Planning uses the rung floor, so planned transfers never outrun reality.
@@ -466,6 +473,15 @@ class _CycleEngine:
             return None
         return inst
 
+    def _plan(self, view: dict[str, AgentState]) -> SolveResult | None:
+        """The plan every agent holding `view` computes; None for an invalid instance."""
+        inst_p = self._instance_from_view(view)
+        if inst_p is None or not validate_problem(inst_p).ok:
+            return None
+        seed = baseline.selfish_schedule(inst_p, mode="storage_excepted")
+        ilp = encode_objective(inst_p, inst_p.objective, encode(inst_p))
+        return solve(ilp, seed, self.cfg.budget)
+
     # -- one cycle ----------------------------------------------------------
 
     def run_cycle(self, cycle: int, trace: ExecutionTrace):
@@ -510,18 +526,19 @@ class _CycleEngine:
 
         plans: dict[str, Schedule | None] = {}
         digests: dict[str, str] = {}
+        planned: dict[tuple, SolveResult | None] = {}  # flooded view -> its plan
         for a in enabled:
             view = result.views[a]
             if len(view) < n:
                 trace.add(cycle, "plan", a, "partial_view", f"agents={','.join(sorted(view))}")
-            inst_p = self._instance_from_view(view)
-            if inst_p is None or not validate_problem(inst_p).ok:
+            key = tuple(sorted(view.items()))
+            if key not in planned:
+                planned[key] = self._plan(view)
+            res = planned[key]
+            if res is None:
                 plans[a] = None
                 trace.add(cycle, "plan", a, "plan_failed", "reason=invalid_instance")
                 continue
-            seed = baseline.selfish_schedule(inst_p, mode="storage_excepted")
-            ilp = encode_objective(inst_p, inst_p.objective, encode(inst_p))
-            res = solve(ilp, seed, cfg.budget)
             plans[a] = res.incumbent
             digests[a] = res.incumbent.digest()
             trace.add(

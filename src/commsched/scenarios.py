@@ -289,7 +289,8 @@ class ScenarioFile:
                     continue
                 time[t.id], energy[t.id] = entry
             profiles.append(AgentProfile(a.id, time, energy))
-        dt = frac(self.horizon_s) / self.steps
+        horizon = Horizon(self.horizon_s, self.steps)
+        dt = horizon.step_duration
         rates: dict[tuple[str, str, int], Fraction] = {}
         if self.geometry:
             by_id = {a.id: a for a in self.agents}
@@ -314,7 +315,7 @@ class ScenarioFile:
             network=SoftwareNetwork(self.tasks),
             agents=tuple(profiles),
             contacts=ContactGraph(rates, self.interference),
-            horizon=Horizon(self.horizon_s, self.steps),
+            horizon=horizon,
             objective=self.objective,
             owners=dict(self.owners),
             storage_tasks=self.storage_tasks,
@@ -419,6 +420,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     events: list[ScriptEvent] = []
     config: dict[str, object] = {}
     interference: list[InterferenceSet] = []
+    named: list[tuple[str, str]] = []  # (line, agent id) for every agent a record names
     geometry_seen = contacts_seen = False
     section = None
     for ln in lines[1:]:
@@ -454,6 +456,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                 )
             elif kind == "cost":
                 kv = _kv(parts[1:], ln, ("agent", "task", "time", "energy"))
+                named.append((ln, kv["agent"]))
                 costs[(kv["agent"], kv["task"])] = (_cost_entry(kv["time"]), _cost_entry(kv["energy"]))
             else:
                 raise ScenarioFormatError(f"unexpected {kind!r} in [AGENTS]")
@@ -476,12 +479,14 @@ def parse_scenario(text: str) -> ScenarioFile:
             )
             if kv.get("owner"):
                 owners[kv["id"]] = kv["owner"]
+                named.append((ln, kv["owner"]))
             if kv.get("storage", "0") == "1":
                 storage.add(kv["id"])
         elif section == "[CONTACTS]":
             if kind != "rate":
                 raise ScenarioFormatError(f"unexpected {kind!r} in [CONTACTS]")
             kv = _kv(parts[1:], ln, ("src", "dst", "start", "end", "bps"))
+            named += [(ln, kv["src"]), (ln, kv["dst"])]
             rates.append((kv["src"], kv["dst"], int(kv["start"]), int(kv["end"]), frac(kv["bps"])))
         elif section == "[GEOMETRY]":
             if kind != "obstruction":
@@ -503,12 +508,15 @@ def parse_scenario(text: str) -> ScenarioFile:
             ev_kind = parts[2]
             if ev_kind == "link":
                 kv = _kv(parts[3:], ln, ("src", "dst", "bps"))
+                named += [(ln, kv["src"]), (ln, kv["dst"])]
                 events.append(ScriptEvent(frac(t), "link", kv["src"], kv["dst"], frac(kv["bps"])))
             elif ev_kind == "agent":
                 kv = _kv(parts[3:], ln, ("id", "enabled"))
+                named.append((ln, kv["id"]))
                 events.append(ScriptEvent(frac(t), "agent", kv["id"], "", int(kv["enabled"])))
             elif ev_kind == "zone":
                 kv = _kv(parts[3:], ln, ("agent", "in"))
+                named.append((ln, kv["agent"]))
                 events.append(ScriptEvent(frac(t), "zone", kv["agent"], "", int(kv["in"])))
             else:
                 raise ScenarioFormatError(f"unknown script event {ev_kind!r}")
@@ -541,6 +549,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                 for chunk in kv["links"].split(","):
                     src, dst = chunk.split(">")
                     links.add((src, dst))
+                    named += [(ln, src), (ln, dst)]
                 interference.append(InterferenceSet(frozenset(links), frac(kv["cap"])))
             elif kind == "comm_energy":
                 kv = _kv(parts[1:], ln, ("per_bit",))
@@ -555,6 +564,10 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ScenarioFormatError("scenario may use [CONTACTS] or [GEOMETRY], not both")
     if "horizon_s" not in config:
         raise ScenarioFormatError("missing horizon line in [CONFIG]")
+    declared = {a.id for a in agents}
+    for ln, agent in named:
+        if agent not in declared:
+            raise ScenarioFormatError(f"{ln}: unknown agent {agent!r}")
     return ScenarioFile(
         agents=tuple(agents),
         tasks=tuple(tasks),

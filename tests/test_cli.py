@@ -95,6 +95,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing field 'steps'" in err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_zero_steps_exits_2(self, capsys, scenario_file, command):
+        text = MINIMAL.replace("horizon seconds=4 steps=4", "horizon seconds=4 steps=0")
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least one step" in err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_unknown_agent_exits_2(self, capsys, scenario_file, command):
+        text = MINIMAL.replace("[CONTACTS]\n", "[CONTACTS]\nrate src=a0 dst=zz start=0 end=3 bps=5\n")
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate src=a0 dst=zz ") and "unknown agent 'zz'" in err
+
     def test_objective_override(self, tmp_path, scenario_file):
         out = tmp_path / "r.txt"
         rc = main(["solve", scenario_file("min.scn", MINIMAL), "--objective", "reward",

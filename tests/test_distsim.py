@@ -1,14 +1,20 @@
 """Flooding consensus and the broadcast-plan-execute simulation."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
 import pytest
 
+from commsched import distsim
 from commsched.distsim import (
     AgentState,
+    CycleConfig,
     RATE_LEVELS,
     REWARD_LEVELS,
     REWARD_SLOTS,
@@ -21,9 +27,11 @@ from commsched.distsim import (
     run_cycles,
     state_size_bits,
     trace_from_text,
+    _CycleEngine,
 )
 from commsched.model import SoftwareNetwork
-from commsched.scenarios import canned_scenario
+from commsched.scenarios import canned_scenario, generate_random
+from commsched.solver import SolveBudget
 
 
 def make_states(n):
@@ -246,3 +254,121 @@ class TestRunCycles:
         cyclic = replace(p, network=SoftwareNetwork(tasks))
         with pytest.raises(ValueError, match="cycle"):
             run_cycles(cyclic, sc.script, sc.cycle, 1, sc.capabilities())
+
+
+def dynamic4():
+    """`generate_random(4, 0.5, 1, seed=3)` at 200 nodes with the p1-p2 link cut."""
+    sc = generate_random(4, 0.5, 1, seed=3)
+    cut = WorldScript((ScriptEvent(0, "link", "p1", "p2", 0), ScriptEvent(0, "link", "p2", "p1", 0)))
+    return replace(sc, script=cut, cycle=replace(sc.cycle, budget=SolveBudget(200)))
+
+
+def plan_digest(result) -> str:
+    return result.incumbent.digest() if result is not None else "plan_failed"
+
+
+#: Rebuilds one agent's plans in a fresh interpreter: reads the scenario text
+#: and that agent's flooded views (pickled on stdin), prints one digest a view.
+REBUILD_ALONE = """
+import pickle, sys
+from commsched.distsim import _CycleEngine
+from commsched.scenarios import parse_scenario
+text, views = pickle.load(sys.stdin.buffer)
+sc = parse_scenario(text)
+engine = _CycleEngine(sc.to_problem(), sc.script, sc.cycle, sc.capabilities())
+for view in views:
+    res = engine._plan(view)
+    print(res.incumbent.digest() if res is not None else "plan_failed")
+"""
+
+
+class TestPlanSharing:
+    """The simulator plans once per distinct view; agents solving alone agree with it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = distsim.solve
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distsim, "solve", counting)
+        return calls
+
+    def test_each_agent_solving_alone_matches_the_trace(self, monkeypatch):
+        sc = dynamic4()
+        views_by_cycle = []
+
+        def recording(states, links, rounds):
+            result = flood(states, links, rounds)
+            views_by_cycle.append(result.views)
+            return result
+
+        monkeypatch.setattr(distsim, "flood", recording)
+        trace = run_cycles(sc.to_problem(), sc.script, sc.cycle, 3, sc.capabilities())
+        cycles = [r.cycle for r in trace.select(event="flood")]
+        traced = {(r.cycle, r.agent): r.fields()["sha"] for r in trace.select(event="digest")}
+        traced |= {(r.cycle, r.agent): "plan_failed" for r in trace.select(event="plan_failed")}
+
+        # Every enabled agent, every cycle, rebuilds its plan from its own view.
+        engine = _CycleEngine(sc.to_problem(), sc.script, sc.cycle, sc.capabilities())
+        alone = {
+            (cycle, a): plan_digest(engine._plan(view))
+            for cycle, views in zip(cycles, views_by_cycle)
+            for a, view in views.items()
+        }
+        assert alone == traced
+        assert len(alone) == 3 * 4
+
+        # Real agents are separate processes: one rebuilds under another hash seed.
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(distsim.__file__))
+        views = [views["p3"] for views in views_by_cycle]
+        proc = subprocess.run(
+            [sys.executable, "-c", REBUILD_ALONE],
+            input=pickle.dumps((sc.to_text(), views)),
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == [traced[(cycle, "p3")] for cycle in cycles]
+
+    def test_complete_consensus_solves_once(self, solves):
+        sc = dynamic4()
+        trace = run_cycles(sc.to_problem(), sc.script, sc.cycle, 1, sc.capabilities())
+        assert trace.select(event="flood")[0].fields()["complete"] == "1"
+        assert len(solves) == 1
+        digests = trace.select(event="digest")
+        assert [r.agent for r in digests] == ["base", "p1", "p2", "p3"]
+        assert len({r.fields()["sha"] for r in digests}) == 1
+
+    def test_incomplete_flood_solves_once_per_distinct_view(self, solves):
+        # A line base - p1 - p2 - p3 at 1 kbps: a round takes 4 * 35 / 1000 s,
+        # so a 0.3 s broadcast fits 2 of the 3 rounds the line needs.
+        sc = dynamic4()
+        order = ["base", "p1", "p2", "p3"]
+        links = tuple(
+            ScriptEvent(0, "link", i, j, 1000 if abs(order.index(i) - order.index(j)) == 1 else 0)
+            for i in order
+            for j in order
+            if i != j
+        )
+        cfg = CycleConfig(Fraction(3, 10), sc.cycle.plan_s, sc.cycle.execute_s, sc.cycle.budget)
+        trace = run_cycles(sc.to_problem(), WorldScript(links), cfg, 1, sc.capabilities())
+        assert trace.select(event="flood")[0].fields()["complete"] == "0"
+        plan_lines = [(r.agent, r.event, r.payload.split()[0]) for r in trace.select(phase="plan")]
+        shas = {r.agent: r.payload.split()[0] for r in trace.select(event="digest")}
+        assert plan_lines == [
+            ("base", "partial_view", "agents=base,p1,p2"),
+            ("base", "digest", shas["base"]),
+            ("p1", "digest", shas["p1"]),
+            ("p2", "digest", shas["p2"]),
+            ("p3", "partial_view", "agents=p1,p2,p3"),
+            ("p3", "digest", shas["p3"]),
+        ]
+        assert len(solves) == 3  # p1 and p2 hold the same complete view
+        assert shas["p1"] == shas["p2"]

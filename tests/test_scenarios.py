@@ -208,6 +208,33 @@ class TestFileFormat:
         with pytest.raises(ScenarioFormatError, match=f"missing field '{field}'"):
             parse_scenario(text.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, agent",
+        [
+            ("cost agent=base task=deliver_base", "cost agent=zz task=deliver_base", "zz"),
+            ("owner=rover", "owner=zz", "zz"),
+            ("rate src=rover dst=relay", "rate src=rover dst=zz", "zz"),
+            ("link src=rover dst=base", "link src=qq dst=base", "qq"),
+            ("[CONFIG]", "at t=1 agent id=zz enabled=0\n[CONFIG]", "zz"),
+            ("[CONFIG]", "at t=1 zone agent=qq in=0\n[CONFIG]", "qq"),
+            ("[END]", "interference cap=5 links=rover>relay,relay>zz\n[END]", "zz"),
+        ],
+        ids=["cost", "task-owner", "rate", "link-event", "agent-event", "zone-event", "interference"],
+    )
+    def test_unknown_agent_rejected(self, old, new, agent):
+        text = canned_scenario("relay").to_text()
+        assert text.count(old) == 1
+        bad = text.replace(old, new)
+        line = next(ln for ln in bad.splitlines() if agent in ln)
+        with pytest.raises(ScenarioFormatError, match=f"unknown agent '{agent}'") as exc:
+            parse_scenario(bad)
+        assert str(exc.value).startswith(line)
+
+    def test_zero_steps_rejected(self):
+        text = canned_scenario("relay").to_text().replace("steps=8", "steps=0")
+        with pytest.raises(ValueError, match="at least one step"):
+            parse_scenario(text).to_problem()
+
     def test_missing_header_rejected(self):
         with pytest.raises(ScenarioFormatError):
             parse_scenario("[AGENTS]\n")
