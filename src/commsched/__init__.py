@@ -29,7 +29,6 @@ from .model import (
     discretize_cost,
     frac,
     schedule_from_text,
-    topological_order,
     validate_problem,
 )
 from .encoder import (

@@ -23,7 +23,6 @@ from .model import (
     comm_duration,
     frac,
     occupancy_steps,
-    topological_order,
 )
 
 
@@ -87,7 +86,7 @@ def selfish_schedule(p: ProblemInstance, mode: str = "strict") -> Schedule:
     """Serial no-sharing schedule; `mode` is "strict" or "storage_excepted"."""
     if mode not in ("strict", "storage_excepted"):
         raise ValueError(f"unknown selfish mode {mode!r}")
-    order = topological_order(p.network)
+    order = p.network.task_ids
     by_id = p.network.by_id
     steps = p.horizon.num_steps
     dt = p.horizon.step_duration

@@ -101,6 +101,12 @@ def _seed_schedule(p):
     return baseline.selfish_schedule(p, mode="storage_excepted")
 
 
+def _program(p):
+    """The 0/1 program of `p`; a scenario's declared shared channels are always planned."""
+    interference = bool(p.contacts.interference_sets)
+    return encode_objective(p, p.objective, encode(p, interference=interference))
+
+
 def cmd_solve(args) -> int:
     prepared = _prepare(args.scenario, args.objective)
     if prepared is None:
@@ -110,7 +116,7 @@ def cmd_solve(args) -> int:
     budget = SolveBudget(nodes)
     try:
         seed = _seed_schedule(p)
-        inst = encode_objective(p, p.objective, encode(p, interference=args.interference))
+        inst = _program(p)
         started = time.perf_counter()
         res = solve(inst, seed, budget)
         elapsed = time.perf_counter() - started
@@ -132,12 +138,10 @@ def cmd_simulate(args) -> int:
     if prepared is None:
         return EXIT_INPUT
     sc, p = prepared
-    if p.horizon.wall_clock_s > sc.cycle.execute_s:
-        print(
-            f"invalid scenario: the horizon ({p.horizon.wall_clock_s} s) is longer than"
-            f" the execute phase ({sc.cycle.execute_s} s)",
-            file=sys.stderr,
-        )
+    errors = distsim.simulation_errors(p, sc.cycle)
+    for e in errors:
+        print(f"invalid scenario: {e}", file=sys.stderr)
+    if errors:
         return EXIT_INPUT
     trace = distsim.run_cycles(p, sc.script, sc.cycle, args.cycles, sc.capabilities())
     if args.out:
@@ -172,7 +176,7 @@ def _benchmark_row(path: str, objective_name: str, budget_nodes: int) -> dict:
         if not report.ok:
             raise ValueError("; ".join(report.violations))
         selfish = _seed_schedule(p)
-        inst = encode_objective(p, p.objective, encode(p))
+        inst = _program(p)
         res = solve(inst, selfish, SolveBudget(budget_nodes))
         metrics = baseline.compare(p, res.incumbent, selfish)
         row.update(
@@ -244,7 +248,7 @@ def cmd_export(args) -> int:
         return EXIT_INPUT
     _, p = prepared
     try:
-        inst = encode_objective(p, p.objective, encode(p, interference=args.interference))
+        inst = _program(p)
     except InfeasibleHorizon as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -285,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("scenario")
     ps.add_argument("--objective", choices=sorted(OBJECTIVES) + ["weighted"], default=None)
     ps.add_argument("--budget-nodes", type=_positive_int, default=None)
-    ps.add_argument("--interference", action="store_true")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_solve)
 
@@ -310,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("export", help="export the 0/1 program in LP format")
     pe.add_argument("scenario")
     pe.add_argument("--objective", choices=sorted(OBJECTIVES), default=None)
-    pe.add_argument("--interference", action="store_true")
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_export)
 

@@ -11,6 +11,14 @@ delivered products are dropped.
 Agents that end a broadcast phase with an incomplete view plan on the
 partial view; the divergence is recorded in the trace rather than repaired.
 
+A template that declares interference sets (links sharing one channel) is
+planned with them, as `solve` plans it. The execute phase still moves each
+transfer's bits at its link's full rate and does not share the channel.
+
+The template must fit the protocol (see `simulation_errors`): its horizon
+fits the execute phase, and no agent owns more optional tasks than the
+REWARD_SLOTS of its broadcast state.
+
 The planning instance is a pure function of the flooded view, never of the
 agent that holds it, so the simulator computes each distinct view's plan once
 per cycle and hands it to every agent holding that view. Each agent still
@@ -323,8 +331,6 @@ def agent_state(
             continue
         offered = not (task.category == "collect" and not world.in_zone.get(agent_id, False))
         rewards.append(rung(REWARD_LEVELS, task.reward) if offered else 0)
-    if len(rewards) > REWARD_SLOTS:
-        raise ValueError(f"agent {agent_id} owns more than {REWARD_SLOTS} optional tasks")
     rewards.extend([0] * (REWARD_SLOTS - len(rewards)))
     return AgentState(
         agent_id=agent_id,
@@ -336,6 +342,27 @@ def agent_state(
     )
 
 
+def simulation_errors(p: ProblemInstance, cfg: CycleConfig) -> list[str]:
+    """Why the simulator cannot run `p` under `cfg`; empty when it can."""
+    errors = []
+    if p.horizon.wall_clock_s > cfg.execute_s:
+        errors.append(
+            f"the horizon ({p.horizon.wall_clock_s} s) is longer than"
+            f" the execute phase ({cfg.execute_s} s)"
+        )
+    optional: dict[str, int] = {}
+    for t in p.network.tasks:
+        owner = None if t.required else baseline.owner_of(p, t.id)
+        if owner is not None:
+            optional[owner] = optional.get(owner, 0) + 1
+    for a, count in sorted(optional.items()):
+        if count > REWARD_SLOTS:
+            errors.append(
+                f"agent {a} owns {count} optional tasks, more than its {REWARD_SLOTS} reward slots"
+            )
+    return errors
+
+
 class _CycleEngine:
     def __init__(
         self,
@@ -344,10 +371,9 @@ class _CycleEngine:
         cfg: CycleConfig,
         capabilities: Mapping[str, int] | None = None,
     ):
-        if p.horizon.wall_clock_s > cfg.execute_s:
-            raise ValueError("plan horizon must fit inside the execute phase")
-        if not p.network.is_acyclic:
-            raise ValueError("the task network has a dependency cycle")
+        errors = simulation_errors(p, cfg)
+        if errors:
+            raise ValueError("; ".join(errors))
         self.p = p
         self.cfg = cfg
         self.caps = {a: 7 for a in p.agent_ids}
@@ -417,7 +443,7 @@ class _CycleEngine:
                 task = by_id.get(task_id)
                 if task is None or task.required:
                     continue
-                level = state.reward_levels[idx] if idx < REWARD_SLOTS else 0
+                level = state.reward_levels[idx]
                 idx += 1
                 if level > 0:
                     offered[task_id] = Fraction(REWARD_LEVELS[level])
@@ -479,7 +505,8 @@ class _CycleEngine:
         if inst_p is None or not validate_problem(inst_p).ok:
             return None
         seed = baseline.selfish_schedule(inst_p, mode="storage_excepted")
-        ilp = encode_objective(inst_p, inst_p.objective, encode(inst_p))
+        interference = bool(inst_p.contacts.interference_sets)
+        ilp = encode_objective(inst_p, inst_p.objective, encode(inst_p, interference=interference))
         return solve(ilp, seed, self.cfg.budget)
 
     # -- one cycle ----------------------------------------------------------

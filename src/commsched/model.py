@@ -81,25 +81,20 @@ class Task:
 class SoftwareNetwork:
     """Dependency DAG of tasks, stored in canonical deterministic order.
 
-    If the dependency relation is acyclic, tasks are reordered topologically
-    with ties broken by id; a cyclic network keeps its construction order so
-    that validate_problem can report the cycle.
+    Tasks are kept in topological order with ties broken by id, so
+    `task_ids` is the canonical order every consumer walks. A dependency
+    cycle raises CyclicDependency at construction; predecessors outside
+    the network are ignored here and reported by validate_problem.
     """
 
     tasks: tuple[Task, ...]
 
     def __init__(self, tasks: Iterable[Task]):
         items = tuple(tasks)
-        ids = [t.id for t in items]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in items}
+        if len(by_id) != len(items):
             raise ValueError("duplicate task ids in software network")
-        try:
-            order = topological_order_of(items)
-            by_id = {t.id: t for t in items}
-            items = tuple(by_id[i] for i in order)
-        except CyclicDependency:
-            pass
-        object.__setattr__(self, "tasks", items)
+        object.__setattr__(self, "tasks", tuple(by_id[i] for i in topological_order_of(items)))
 
     @property
     def M(self) -> int:
@@ -112,14 +107,6 @@ class SoftwareNetwork:
     @property
     def by_id(self) -> dict[str, Task]:
         return {t.id: t for t in self.tasks}
-
-    @property
-    def is_acyclic(self) -> bool:
-        try:
-            topological_order_of(self.tasks)
-            return True
-        except CyclicDependency:
-            return False
 
 
 @dataclass(frozen=True)
@@ -452,11 +439,6 @@ def topological_order_of(tasks: Sequence[Task]) -> list[str]:
     return order
 
 
-def topological_order(sn: SoftwareNetwork) -> list[str]:
-    """Canonical task order: predecessors first, ties broken by id."""
-    return topological_order_of(sn.tasks)
-
-
 def discretize_cost(seconds: RationalLike, horizon: Horizon) -> int:
     """Ceiling of seconds/step_duration; conservative so decoded schedules
     never undershoot the true cost in continuous time."""
@@ -509,11 +491,6 @@ def validate_problem(p: ProblemInstance) -> ValidationReport:
             violations.append(f"task {t.id}: negative reward")
         if t.product_size < 0:
             violations.append(f"task {t.id}: negative product size")
-    if not p.network.is_acyclic:
-        try:
-            topological_order(p.network)
-        except CyclicDependency as exc:
-            violations.append(str(exc))
     for a in p.agents:
         for task_id, entry in sorted(a.compute_time.items()):
             if entry is not FORBIDDEN and entry < 0:
@@ -524,6 +501,9 @@ def validate_problem(p: ProblemInstance) -> ValidationReport:
     for (src, dst, step), rate in sorted(p.contacts.rates.items()):
         if rate < 0:
             violations.append(f"link {src}->{dst} step {step}: negative rate")
+    for si, iset in enumerate(p.contacts.interference_sets):
+        if iset.capacity_bps < 0:
+            violations.append(f"interference set {si}: negative capacity")
     for t in p.network.tasks:
         if t.required and t.id not in p.done_tasks:
             if not any(a.allows(t.id) for a in p.agents):

@@ -421,145 +421,150 @@ def parse_scenario(text: str) -> ScenarioFile:
     config: dict[str, object] = {}
     interference: list[InterferenceSet] = []
     named: list[tuple[str, str]] = []  # (line, agent id) for every agent a record names
+    costed: list[tuple[str, str]] = []  # (line, task id) for every cost record
     geometry_seen = contacts_seen = False
     section = None
-    for ln in lines[1:]:
-        if ln.startswith("["):
-            if ln not in ("[AGENTS]", "[TASKS]", "[CONTACTS]", "[GEOMETRY]", "[SCRIPT]", "[CONFIG]", "[END]"):
-                raise ScenarioFormatError(f"unknown section {ln}")
-            section = ln
-            geometry_seen |= ln == "[GEOMETRY]"
-            contacts_seen |= ln == "[CONTACTS]"
-            continue
-        parts = ln.split()
-        kind = parts[0]
-        if section == "[AGENTS]":
-            if kind == "agent":
-                kv = _kv(parts[1:], ln, ("id",), ("base", "capability", "pos"))
-                capability = int(kv.get("capability", "7"))
-                if not 0 <= capability <= 7:
-                    raise ScenarioFormatError(f"{ln}: capability {capability} is not a level 0-7")
-                track = []
-                for chunk in kv.get("pos", "").split(";"):
-                    if not chunk:
-                        continue
-                    t, xy = chunk.split(":", 1)
-                    x, y = xy.split(",")
-                    track.append((frac(t), frac(x), frac(y)))
-                agents.append(
-                    ScenarioAgent(
+    try:
+        for ln in lines[1:]:
+            if ln.startswith("["):
+                if ln not in ("[AGENTS]", "[TASKS]", "[CONTACTS]", "[GEOMETRY]", "[SCRIPT]", "[CONFIG]", "[END]"):
+                    raise ScenarioFormatError(f"unknown section {ln}")
+                section = ln
+                geometry_seen |= ln == "[GEOMETRY]"
+                contacts_seen |= ln == "[CONTACTS]"
+                continue
+            parts = ln.split()
+            kind = parts[0]
+            if section == "[AGENTS]":
+                if kind == "agent":
+                    kv = _kv(parts[1:], ln, ("id",), ("base", "capability", "pos"))
+                    capability = int(kv.get("capability", "7"))
+                    if not 0 <= capability <= 7:
+                        raise ScenarioFormatError(f"{ln}: capability {capability} is not a level 0-7")
+                    track = []
+                    for chunk in kv.get("pos", "").split(";"):
+                        if not chunk:
+                            continue
+                        t, xy = chunk.split(":", 1)
+                        x, y = xy.split(",")
+                        track.append((frac(t), frac(x), frac(y)))
+                    agents.append(
+                        ScenarioAgent(
+                            kv["id"],
+                            tuple(track),
+                            base=kv.get("base", "0") == "1",
+                            capability=capability,
+                        )
+                    )
+                elif kind == "cost":
+                    kv = _kv(parts[1:], ln, ("agent", "task", "time", "energy"))
+                    named.append((ln, kv["agent"]))
+                    costed.append((ln, kv["task"]))
+                    costs[(kv["agent"], kv["task"])] = (_cost_entry(kv["time"]), _cost_entry(kv["energy"]))
+                else:
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [AGENTS]")
+            elif section == "[TASKS]":
+                if kind != "task":
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [TASKS]")
+                kv = _kv(
+                    parts[1:], ln, ("id",), ("required", "reward", "size", "preds", "owner", "category", "storage")
+                )
+                preds = {q for q in kv.get("preds", "").split(",") if q}
+                tasks.append(
+                    Task(
                         kv["id"],
-                        tuple(track),
-                        base=kv.get("base", "0") == "1",
-                        capability=capability,
+                        required=kv.get("required", "1") == "1",
+                        reward=frac(kv.get("reward", "0")),
+                        product_size=frac(kv.get("size", "0")),
+                        predecessors=preds,
+                        category=kv.get("category", ""),
                     )
                 )
-            elif kind == "cost":
-                kv = _kv(parts[1:], ln, ("agent", "task", "time", "energy"))
-                named.append((ln, kv["agent"]))
-                costs[(kv["agent"], kv["task"])] = (_cost_entry(kv["time"]), _cost_entry(kv["energy"]))
-            else:
-                raise ScenarioFormatError(f"unexpected {kind!r} in [AGENTS]")
-        elif section == "[TASKS]":
-            if kind != "task":
-                raise ScenarioFormatError(f"unexpected {kind!r} in [TASKS]")
-            kv = _kv(
-                parts[1:], ln, ("id",), ("required", "reward", "size", "preds", "owner", "category", "storage")
-            )
-            preds = {q for q in kv.get("preds", "").split(",") if q}
-            tasks.append(
-                Task(
-                    kv["id"],
-                    required=kv.get("required", "1") == "1",
-                    reward=frac(kv.get("reward", "0")),
-                    product_size=frac(kv.get("size", "0")),
-                    predecessors=preds,
-                    category=kv.get("category", ""),
-                )
-            )
-            if kv.get("owner"):
-                owners[kv["id"]] = kv["owner"]
-                named.append((ln, kv["owner"]))
-            if kv.get("storage", "0") == "1":
-                storage.add(kv["id"])
-        elif section == "[CONTACTS]":
-            if kind != "rate":
-                raise ScenarioFormatError(f"unexpected {kind!r} in [CONTACTS]")
-            kv = _kv(parts[1:], ln, ("src", "dst", "start", "end", "bps"))
-            named += [(ln, kv["src"]), (ln, kv["dst"])]
-            rates.append((kv["src"], kv["dst"], int(kv["start"]), int(kv["end"]), frac(kv["bps"])))
-        elif section == "[GEOMETRY]":
-            if kind != "obstruction":
-                raise ScenarioFormatError(f"unexpected {kind!r} in [GEOMETRY]")
-            kv = _kv(parts[1:], ln, ("points",))
-            poly = []
-            for chunk in kv["points"].split(";"):
-                x, y = chunk.split(",")
-                poly.append((frac(x), frac(y)))
-            if len(poly) < 3:
-                raise ScenarioFormatError("obstruction needs at least 3 points")
-            obstructions.append(tuple(poly))
-        elif section == "[SCRIPT]":
-            if kind != "at":
-                raise ScenarioFormatError(f"unexpected {kind!r} in [SCRIPT]")
-            if len(parts) < 3:
-                raise ScenarioFormatError(f"bad script line {ln!r}")
-            t = _kv(parts[1:2], ln, ("t",))["t"]
-            ev_kind = parts[2]
-            if ev_kind == "link":
-                kv = _kv(parts[3:], ln, ("src", "dst", "bps"))
+                if kv.get("owner"):
+                    owners[kv["id"]] = kv["owner"]
+                    named.append((ln, kv["owner"]))
+                if kv.get("storage", "0") == "1":
+                    storage.add(kv["id"])
+            elif section == "[CONTACTS]":
+                if kind != "rate":
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [CONTACTS]")
+                kv = _kv(parts[1:], ln, ("src", "dst", "start", "end", "bps"))
                 named += [(ln, kv["src"]), (ln, kv["dst"])]
-                events.append(ScriptEvent(frac(t), "link", kv["src"], kv["dst"], frac(kv["bps"])))
-            elif ev_kind == "agent":
-                kv = _kv(parts[3:], ln, ("id", "enabled"))
-                named.append((ln, kv["id"]))
-                events.append(ScriptEvent(frac(t), "agent", kv["id"], "", int(kv["enabled"])))
-            elif ev_kind == "zone":
-                kv = _kv(parts[3:], ln, ("agent", "in"))
-                named.append((ln, kv["agent"]))
-                events.append(ScriptEvent(frac(t), "zone", kv["agent"], "", int(kv["in"])))
-            else:
-                raise ScenarioFormatError(f"unknown script event {ev_kind!r}")
-        elif section == "[CONFIG]":
-            if kind == "horizon":
-                kv = _kv(parts[1:], ln, ("seconds", "steps"))
-                config["horizon_s"] = frac(kv["seconds"])
-                config["steps"] = int(kv["steps"])
-            elif kind == "objective":
-                kv = _kv(parts[1:], ln, ("kind",), ("terms",))
-                if kv["kind"] == "weighted":
-                    terms = []
-                    for chunk in kv.get("terms", "").split(","):
-                        name, w = chunk.split(":")
-                        terms.append((name, frac(w)))
-                    config["objective"] = Objective.weighted(terms)
+                rates.append((kv["src"], kv["dst"], int(kv["start"]), int(kv["end"]), frac(kv["bps"])))
+            elif section == "[GEOMETRY]":
+                if kind != "obstruction":
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [GEOMETRY]")
+                kv = _kv(parts[1:], ln, ("points",))
+                poly = []
+                for chunk in kv["points"].split(";"):
+                    x, y = chunk.split(",")
+                    poly.append((frac(x), frac(y)))
+                if len(poly) < 3:
+                    raise ScenarioFormatError("obstruction needs at least 3 points")
+                obstructions.append(tuple(poly))
+            elif section == "[SCRIPT]":
+                if kind != "at":
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [SCRIPT]")
+                if len(parts) < 3:
+                    raise ScenarioFormatError(f"bad script line {ln!r}")
+                t = _kv(parts[1:2], ln, ("t",))["t"]
+                ev_kind = parts[2]
+                if ev_kind == "link":
+                    kv = _kv(parts[3:], ln, ("src", "dst", "bps"))
+                    named += [(ln, kv["src"]), (ln, kv["dst"])]
+                    events.append(ScriptEvent(frac(t), "link", kv["src"], kv["dst"], frac(kv["bps"])))
+                elif ev_kind == "agent":
+                    kv = _kv(parts[3:], ln, ("id", "enabled"))
+                    named.append((ln, kv["id"]))
+                    events.append(ScriptEvent(frac(t), "agent", kv["id"], "", int(kv["enabled"])))
+                elif ev_kind == "zone":
+                    kv = _kv(parts[3:], ln, ("agent", "in"))
+                    named.append((ln, kv["agent"]))
+                    events.append(ScriptEvent(frac(t), "zone", kv["agent"], "", int(kv["in"])))
                 else:
-                    config["objective"] = Objective(kv["kind"])
-            elif kind == "cycle":
-                kv = _kv(parts[1:], ln, ("broadcast", "plan", "execute", "budget_nodes"))
-                config["cycle"] = CycleConfig(
-                    frac(kv["broadcast"]),
-                    frac(kv["plan"]),
-                    frac(kv["execute"]),
-                    SolveBudget(int(kv["budget_nodes"])),
-                )
-            elif kind == "interference":
-                kv = _kv(parts[1:], ln, ("cap", "links"))
-                links = set()
-                for chunk in kv["links"].split(","):
-                    src, dst = chunk.split(">")
-                    links.add((src, dst))
-                    named += [(ln, src), (ln, dst)]
-                interference.append(InterferenceSet(frozenset(links), frac(kv["cap"])))
-            elif kind == "comm_energy":
-                kv = _kv(parts[1:], ln, ("per_bit",))
-                config["comm_energy"] = frac(kv["per_bit"])
+                    raise ScenarioFormatError(f"unknown script event {ev_kind!r}")
+            elif section == "[CONFIG]":
+                if kind == "horizon":
+                    kv = _kv(parts[1:], ln, ("seconds", "steps"))
+                    config["horizon_s"] = frac(kv["seconds"])
+                    config["steps"] = int(kv["steps"])
+                elif kind == "objective":
+                    kv = _kv(parts[1:], ln, ("kind",), ("terms",))
+                    if kv["kind"] == "weighted":
+                        terms = []
+                        for chunk in kv.get("terms", "").split(","):
+                            name, w = chunk.split(":")
+                            terms.append((name, frac(w)))
+                        config["objective"] = Objective.weighted(terms)
+                    else:
+                        config["objective"] = Objective(kv["kind"])
+                elif kind == "cycle":
+                    kv = _kv(parts[1:], ln, ("broadcast", "plan", "execute", "budget_nodes"))
+                    config["cycle"] = CycleConfig(
+                        frac(kv["broadcast"]),
+                        frac(kv["plan"]),
+                        frac(kv["execute"]),
+                        SolveBudget(int(kv["budget_nodes"])),
+                    )
+                elif kind == "interference":
+                    kv = _kv(parts[1:], ln, ("cap", "links"))
+                    links = set()
+                    for chunk in kv["links"].split(","):
+                        src, dst = chunk.split(">")
+                        links.add((src, dst))
+                        named += [(ln, src), (ln, dst)]
+                    interference.append(InterferenceSet(frozenset(links), frac(kv["cap"])))
+                elif kind == "comm_energy":
+                    kv = _kv(parts[1:], ln, ("per_bit",))
+                    config["comm_energy"] = frac(kv["per_bit"])
+                else:
+                    raise ScenarioFormatError(f"unexpected {kind!r} in [CONFIG]")
+            elif section == "[END]":
+                raise ScenarioFormatError(f"content after [END]: {ln!r}")
             else:
-                raise ScenarioFormatError(f"unexpected {kind!r} in [CONFIG]")
-        elif section == "[END]":
-            raise ScenarioFormatError(f"content after [END]: {ln!r}")
-        else:
-            raise ScenarioFormatError(f"line outside any section: {ln!r}")
+                raise ScenarioFormatError(f"line outside any section: {ln!r}")
+    except ZeroDivisionError:
+        raise ScenarioFormatError(f"{ln}: a number has a zero denominator") from None
     if geometry_seen and contacts_seen:
         raise ScenarioFormatError("scenario may use [CONTACTS] or [GEOMETRY], not both")
     if "horizon_s" not in config:
@@ -568,6 +573,10 @@ def parse_scenario(text: str) -> ScenarioFile:
     for ln, agent in named:
         if agent not in declared:
             raise ScenarioFormatError(f"{ln}: unknown agent {agent!r}")
+    declared = {t.id for t in tasks}
+    for ln, task in costed:
+        if task not in declared:
+            raise ScenarioFormatError(f"{ln}: unknown task {task!r}")
     return ScenarioFile(
         agents=tuple(agents),
         tasks=tuple(tasks),

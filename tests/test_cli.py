@@ -2,11 +2,18 @@
 
 import csv
 import io
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from commsched.cli import BENCHMARK_HEADER, main
-from commsched.scenarios import canned_scenario, generate_random
+from commsched.cli import BENCHMARK_HEADER, build_parser, main
+from commsched.distsim import trace_from_text
+from commsched.model import check_schedule, schedule_from_text
+from commsched.scenarios import canned_scenario, generate_random, parse_scenario
+from commsched.solver import SolveBudget
 
 MINIMAL = """SCENARIO v1
 [AGENTS]
@@ -30,6 +37,39 @@ CYCLIC = MINIMAL.replace(
     "task id=t1 required=1 reward=0 size=0 preds=t0 owner=a0 category= storage=0",
 ).replace("cost agent=a0 task=t0 time=1 energy=1",
           "cost agent=a0 task=t0 time=1 energy=1\ncost agent=a0 task=t1 time=1 energy=1")
+
+
+#: Two 1,000-bit products cross one shared 1 kbps channel (a0>a2 and a1>a3)
+#: to sinks worth 10 each; in 3 one-second steps only one crossing fits.
+SHARED_CHANNEL = """SCENARIO v1
+[AGENTS]
+agent id=a0
+agent id=a1
+agent id=a2
+agent id=a3
+cost agent=a0 task=s0 time=1 energy=1
+cost agent=a1 task=s1 time=1 energy=1
+cost agent=a2 task=k0 time=1 energy=1
+cost agent=a3 task=k1 time=1 energy=1
+[TASKS]
+task id=s0 size=1000 owner=a0
+task id=s1 size=1000 owner=a1
+task id=k0 required=0 reward=10 preds=s0 owner=a2
+task id=k1 required=0 reward=10 preds=s1 owner=a3
+[CONTACTS]
+rate src=a0 dst=a2 start=0 end=2 bps=1000
+rate src=a1 dst=a3 start=0 end=2 bps=1000
+rate src=a2 dst=a0 start=0 end=2 bps=1000
+rate src=a3 dst=a1 start=0 end=2 bps=1000
+rate src=a2 dst=a3 start=0 end=2 bps=1000
+rate src=a3 dst=a2 start=0 end=2 bps=1000
+[CONFIG]
+horizon seconds=3 steps=3
+objective kind=reward
+cycle broadcast=5 plan=1 execute=3 budget_nodes=2000
+interference cap=1000 links=a0>a2,a1>a3
+[END]
+"""
 
 
 @pytest.fixture
@@ -109,6 +149,45 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: rate src=a0 dst=zz ") and "unknown agent 'zz'" in err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "export"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("time=1 energy=1", "time=1/0 energy=1"),
+            ("horizon seconds=4 ", "horizon seconds=4/0 "),
+            ("[CONFIG]", "at t=1/0 agent id=a0 enabled=0\n[CONFIG]"),
+        ],
+        ids=["cost", "horizon", "script"],
+    )
+    def test_zero_denominator_exits_2(self, capsys, scenario_file, command, old, new):
+        text = MINIMAL.replace(old, new)
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero denominator" in err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "export"])
+    def test_cost_of_unknown_task_exits_2(self, capsys, scenario_file, command):
+        text = MINIMAL.replace("[TASKS]\n", "cost agent=a0 task=zz time=1 energy=1\n[TASKS]\n")
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cost agent=a0 task=zz ") and "unknown task 'zz'" in err
+
+    @pytest.mark.parametrize("command", ["solve", "export"])
+    def test_negative_channel_capacity_exits_2(self, capsys, scenario_file, command):
+        text = SHARED_CHANNEL.replace("cap=1000", "cap=-8")
+        assert main([command, scenario_file("shared.scn", text)]) == 2
+        assert "invalid scenario: interference set 0: negative capacity" in capsys.readouterr().err
+
+    def test_declared_channel_is_planned(self, tmp_path, scenario_file):
+        out = tmp_path / "result.txt"
+        path = scenario_file("shared.scn", SHARED_CHANNEL)
+        assert main(["solve", path, "--out", str(out)]) == 0
+        p = parse_scenario(SHARED_CHANNEL).to_problem()
+        text = out.read_text()
+        schedule = schedule_from_text(text[text.index("SCHEDULE v1"):])
+        assert schedule.objective_value == 10
+        assert check_schedule(p, schedule) == []
+
     def test_objective_override(self, tmp_path, scenario_file):
         out = tmp_path / "r.txt"
         rc = main(["solve", scenario_file("min.scn", MINIMAL), "--objective", "reward",
@@ -145,6 +224,18 @@ class TestSimulate:
         assert main(["simulate", path, "--cycles", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and "execute phase" in err
+
+    def test_more_optional_tasks_than_reward_slots_exits_2(self, capsys, scenario_file):
+        path = scenario_file("gen.scn", generate_random(2, 1.0, 6, seed=0).to_text())
+        assert main(["simulate", path, "--cycles", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid scenario: agent p1 owns 12 optional tasks, more than its 10 reward slots\n"
+
+    def test_declared_channel_is_planned(self, capsys, scenario_file):
+        assert main(["simulate", scenario_file("shared.scn", SHARED_CHANNEL), "--cycles", "1"]) == 0
+        trace = trace_from_text(capsys.readouterr().out)
+        assert trace.select(event="flood")[0].fields()["complete"] == "1"
+        assert {r.fields()["value"] for r in trace.select(event="digest")} == {"10"}
 
     def test_negative_script_rate_exits_2(self, capsys, scenario_file):
         text = canned_scenario("relay").to_text()
@@ -288,3 +379,44 @@ class TestUnwritableOut:
         capsys.readouterr()
         assert main(["render", str(sched), "--out", str(tmp_path / "missing" / "s.svg")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestGeneratedScenarios:
+    @given(
+        agents=st.integers(2, 3),
+        science=st.floats(0, 1),
+        samples=st.integers(0, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(agents=2, science=1.0, samples=6, seed=0)  # an agent owns 12 optional tasks
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_never_crash_the_cli(self, tmp_path, agents, science, samples, seed):
+        sc = generate_random(agents, science, samples, seed)
+        sc = replace(sc, cycle=replace(sc.cycle, budget=SolveBudget(1)))
+        path = tmp_path / "gen.scn"
+        path.write_text(sc.to_text())
+        out = str(tmp_path / "out")
+        assert main(["solve", str(path), "--budget-nodes", "1", "--out", out]) in (0, 2)
+        assert main(["simulate", str(path), "--cycles", "1", "--out", out]) in (0, 2)
+
+
+def documented_options() -> dict[str, set[str]]:
+    """The long options of each subcommand in README.md's "Command line" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("commsched "):
+            current = options.setdefault(line.split()[1], set())
+        current.update(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_documents_every_option():
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt != "--help"}
+        - {"-h"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented_options() == parsed

@@ -29,7 +29,7 @@ from commsched.distsim import (
     trace_from_text,
     _CycleEngine,
 )
-from commsched.model import SoftwareNetwork
+from commsched.model import CyclicDependency, SoftwareNetwork
 from commsched.scenarios import canned_scenario, generate_random
 from commsched.solver import SolveBudget
 
@@ -244,16 +244,21 @@ class TestRunCycles:
         start, end = done["sample_rover"]
         assert end - start + 1 == 2  # 1 s task at half speed spans 2 steps
 
-    def test_cyclic_template_rejected(self):
-        sc = canned_scenario("relay")
-        p = sc.to_problem()
+    def test_template_outside_the_protocol_rejected(self):
+        sc = generate_random(2, 1.0, 6, seed=0)
+        with pytest.raises(ValueError, match="agent p1 owns 12 optional tasks"):
+            run_cycles(sc.to_problem(), sc.script, sc.cycle, 1, sc.capabilities())
+        short = replace(sc.cycle, execute_s=sc.horizon_s - 1)
+        assert distsim.simulation_errors(sc.to_problem(), short)[0].startswith("the horizon (24 s)")
+
+    def test_cyclic_template_cannot_be_built(self):
+        p = canned_scenario("relay").to_problem()
         tasks = [
             replace(t, predecessors=frozenset({"deliver_base"})) if t.id == "sample_rover" else t
             for t in p.network.tasks
         ]
-        cyclic = replace(p, network=SoftwareNetwork(tasks))
-        with pytest.raises(ValueError, match="cycle"):
-            run_cycles(cyclic, sc.script, sc.cycle, 1, sc.capabilities())
+        with pytest.raises(CyclicDependency, match="cycle"):
+            SoftwareNetwork(tasks)
 
 
 def dynamic4():

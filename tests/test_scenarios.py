@@ -230,6 +230,46 @@ class TestFileFormat:
             parse_scenario(bad)
         assert str(exc.value).startswith(line)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("pos=0:10,0", "pos=0:10/0,0"),
+            ("task=deliver_base time=1 ", "task=deliver_base time=1/0 "),
+            ("size=2000000", "size=1/0"),
+            ("reward=20", "reward=20/0"),
+            ("dst=base start=0 end=7 bps=1000000", "dst=base start=0 end=7 bps=1/0"),
+            ("at t=0 link", "at t=1/0 link"),
+            ("dst=base bps=0", "dst=base bps=0/0"),
+            ("[CONFIG]", "at t=1/0 zone agent=rover in=0\n[CONFIG]"),
+            ("horizon seconds=8 ", "horizon seconds=8/0 "),
+            ("objective kind=reward", "objective kind=weighted terms=reward:1/0"),
+            ("cycle broadcast=5 ", "cycle broadcast=5/0 "),
+            ("[END]", "interference cap=1/0 links=rover>relay\n[END]"),
+            ("per_bit=0", "per_bit=1/00"),
+        ],
+        ids=[
+            "agent-pos", "cost", "task-size", "task-reward", "rate", "link-event-time",
+            "link-event-bps", "zone-event-time", "horizon", "objective", "cycle",
+            "interference", "comm_energy",
+        ],
+    )
+    def test_zero_denominator_rejected(self, old, new):
+        text = canned_scenario("relay").to_text()
+        assert text.count(old) == 1
+        bad = text.replace(old, new)
+        line = next(ln for ln in bad.splitlines() if "/0" in ln)
+        with pytest.raises(ScenarioFormatError, match="zero denominator") as exc:
+            parse_scenario(bad)
+        assert str(exc.value).startswith(line)
+
+    def test_cost_of_unknown_task_rejected(self):
+        text = canned_scenario("relay").to_text()
+        line = "cost agent=rover task=zz time=1 energy=1"
+        bad = text.replace("[TASKS]", f"{line}\n[TASKS]")
+        with pytest.raises(ScenarioFormatError, match="unknown task 'zz'") as exc:
+            parse_scenario(bad)
+        assert str(exc.value).startswith(line)
+
     def test_zero_steps_rejected(self):
         text = canned_scenario("relay").to_text().replace("steps=8", "steps=0")
         with pytest.raises(ValueError, match="at least one step"):
