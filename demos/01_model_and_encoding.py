@@ -48,7 +48,7 @@ print("admissible:", report.ok)
 instance = encode_objective(problem, problem.objective, encode(problem))
 print("binary variables:", instance.num_binary)
 print("rows:", len(instance.rows))
-print("first columns:", [v.name for v in instance.variables[:6]])
+print("first columns:", list(instance.variables[:6]))
 
 lp_text = export_lp(instance)
 print("\n--- LP head ---")

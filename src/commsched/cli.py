@@ -261,7 +261,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return _emit(args.out, sc.to_text())
+    rc = _emit(args.out, sc.to_text())
+    if rc == EXIT_OK:
+        for e in distsim.simulation_errors(sc.to_problem(), sc.cycle):
+            print(f"warning: simulate will reject this scenario: {e}", file=sys.stderr)
+    return rc
 
 
 def _positive_int(text: str) -> int:

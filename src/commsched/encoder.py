@@ -1,12 +1,18 @@
 """Time-indexed 0/1 encoding of the scheduling problem, and its decoder.
 
-Variables (canonical column order is chronological: the X and C columns
-of step k precede those of step k+1, then the D block, R block, and Z):
+Columns:
   X(i,T,k)  agent i starts computing task T at step k
   C(i,j,T,k) agent i transmits part or all of T's product to j during step k
   D(i,T,k)  agent i holds T's data product at the beginning of step k
   R(i,j,T,k) bits of T's product moved i->j during step k (interference mode)
   Z         completion-step upper envelope (makespan objective only)
+
+The column layout is the contract that states each column's kind. The X
+and C columns come first, interleaved by step (those of step k precede
+those of step k+1), then the D block; these are all the binary columns,
+`[0, num_binary)`. The continuous columns follow: the R block, then Z. A
+column is its position: `variables[col]` is its name and `lb[col]`,
+`ub[col]` are its bounds.
 
 Busy-interval convention: a task started at step k with duration c occupies
 steps k..k+c-1 (zero-duration tasks still occupy their start slot) and its
@@ -50,14 +56,6 @@ class InfeasibleAssignment(ValueError):
 
 
 @dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # "binary" | "continuous"
-    lb: int | Fraction
-    ub: int | Fraction
-
-
-@dataclass(frozen=True)
 class Row:
     """Sparse constraint with integer coefficients: sum(a*x) sense rhs."""
 
@@ -75,13 +73,11 @@ class EncodingMeta:
     task_ids: tuple[str, ...]
     required: frozenset[int]
     durations: tuple[tuple[int | None, ...], ...]  # [ai][ti]
-    energies: tuple[tuple[Fraction | None, ...], ...]
     rewards: tuple[Fraction, ...]  # effective rewards (0 for required)
     sizes: tuple[Fraction, ...]
     num_steps: int
     link_bits: Mapping[tuple[int, int, int], Fraction]  # (ai, aj, k) -> bits/step
     interference_mode: bool
-    comm_energy_per_bit: Fraction
     done: frozenset[int]
     held0: frozenset[tuple[int, int]] = frozenset()  # (ai, ti) products at step 0
     objective: Objective | None = None
@@ -91,7 +87,10 @@ class EncodingMeta:
 class IlpInstance:
     """Immutable linear program plus the index maps into its columns."""
 
-    variables: tuple[Variable, ...]
+    variables: tuple[str, ...]  # column names
+    lb: tuple[int | Fraction, ...]
+    ub: tuple[int | Fraction, ...]
+    num_binary: int  # the X, C and D columns are [0, num_binary)
     rows: tuple[Row, ...]
     objective: Mapping[int, Fraction]  # sparse, sense = maximize
     x_index: Mapping[tuple[int, int, int], int]  # (ai, ti, k) -> col
@@ -101,10 +100,6 @@ class IlpInstance:
     z_col: int | None
     branch_cols: tuple[int, ...]  # unpinned X/C columns in canonical order
     meta: EncodingMeta
-
-    @property
-    def num_binary(self) -> int:
-        return sum(1 for v in self.variables if v.kind == "binary")
 
 
 def _scale_row(
@@ -130,13 +125,6 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
 
     durations = tuple(
         tuple(p.duration_steps(agents[ai], task_ids[ti]) for ti in range(nt)) for ai in range(na)
-    )
-    energies = tuple(
-        tuple(
-            None if durations[ai][ti] is None else frac(p.agents[ai].energy_for(task_ids[ti]))
-            for ti in range(nt)
-        )
-        for ai in range(na)
     )
     rewards = tuple(t.effective_reward for t in tasks)
     sizes = tuple(t.product_size for t in tasks)
@@ -181,18 +169,25 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
         task_ids=tuple(task_ids),
         required=required,
         durations=durations,
-        energies=energies,
         rewards=rewards,
         sizes=sizes,
         num_steps=steps,
         link_bits=link_bits,
         interference_mode=interference,
-        comm_energy_per_bit=p.comm_energy_per_bit,
         done=done,
         held0=held0,
     )
 
-    variables: list[Variable] = []
+    names: list[str] = []
+    lb: list[int | Fraction] = []
+    ub: list[int | Fraction] = []
+
+    def column(name: str, lo: int | Fraction, hi: int | Fraction) -> int:
+        names.append(name)
+        lb.append(lo)
+        ub.append(hi)
+        return len(names) - 1
+
     x_index: dict[tuple[int, int, int], int] = {}
     c_index: dict[tuple[int, int, int, int], int] = {}
     d_index: dict[tuple[int, int, int], int] = {}
@@ -211,35 +206,34 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
                 dur = durations[ai][ti]
                 if dur is None or k > steps - occupancy_steps(dur):
                     continue
-                x_index[(ai, ti, k)] = len(variables)
-                variables.append(Variable(f"x_{ti}_{ai}_{k}", "binary", zero, one))
+                x_index[(ai, ti, k)] = column(f"x_{ti}_{ai}_{k}", zero, one)
         for ti in range(nt):
             for ai in range(na):
                 for aj in range(na):
-                    c_index[(ai, aj, ti, k)] = len(variables)
                     # Self transfers are meaningless and a dead link moves no
                     # bits, so both kinds of column are pinned to zero (they
-                    # stay declared to keep the variable layout uniform).
+                    # stay declared to keep the column layout uniform).
                     live = ai != aj and (ai, aj, k) in link_bits
-                    ub = one if live else zero
-                    variables.append(Variable(f"c_{ti}_{ai}_{aj}_{k}", "binary", zero, ub))
+                    c_index[(ai, aj, ti, k)] = column(
+                        f"c_{ti}_{ai}_{aj}_{k}", zero, one if live else zero
+                    )
+    branch_cols = tuple(col for col in range(len(names)) if lb[col] != ub[col])
     for ti in range(nt):
         for ai in range(na):
             for k in range(steps):
-                d_index[(ai, ti, k)] = len(variables)
                 if k == 0:
                     pinned = one if (ai, ti) in held0 else zero
-                    variables.append(Variable(f"d_{ti}_{ai}_{k}", "binary", pinned, pinned))
+                    d_index[(ai, ti, k)] = column(f"d_{ti}_{ai}_{k}", pinned, pinned)
                 else:
-                    variables.append(Variable(f"d_{ti}_{ai}_{k}", "binary", zero, one))
+                    d_index[(ai, ti, k)] = column(f"d_{ti}_{ai}_{k}", zero, one)
+    num_binary = len(names)
     if interference:
         for ti in range(nt):
             for ai in range(na):
                 for aj in range(na):
                     for k in range(steps):
-                        r_index[(ai, aj, ti, k)] = len(variables)
-                        ub = link_bits.get((ai, aj, k), zero) if ai != aj else zero
-                        variables.append(Variable(f"r_{ti}_{ai}_{aj}_{k}", "continuous", zero, ub))
+                        bits = link_bits.get((ai, aj, k), zero) if ai != aj else zero
+                        r_index[(ai, aj, ti, k)] = column(f"r_{ti}_{ai}_{aj}_{k}", zero, bits)
 
     rows: list[Row] = []
 
@@ -393,11 +387,11 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
                     rows.append(_scale_row(f"cap_{si}_{k}", coeffs, LE, cap_bits))
 
     rows = [r for r in rows if r.coeffs]  # an empty row is vacuously true here
-    branch_cols = tuple(
-        i for i, v in enumerate(variables) if v.name.startswith(("x_", "c_")) and v.lb != v.ub
-    )
     return IlpInstance(
-        variables=tuple(variables),
+        variables=tuple(names),
+        lb=tuple(lb),
+        ub=tuple(ub),
+        num_binary=num_binary,
         rows=tuple(rows),
         objective={},
         x_index=x_index,
@@ -411,13 +405,12 @@ def encode(p: ProblemInstance, interference: bool = False) -> IlpInstance:
 
 
 def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> IlpInstance:
-    """Install an objective (maximize) onto a base encoding."""
+    """Install an objective (maximize) onto the base encoding `inst` of `p`."""
     meta = inst.meta
     weights = spec.weight_vector()
     obj: dict[int, Fraction] = {}
-    variables = list(inst.variables)
     rows = list(inst.rows)
-    z_col = inst.z_col
+    names, lb, ub, z_col = inst.variables, inst.lb, inst.ub, inst.z_col
 
     def add(col: int, delta: Fraction):
         if delta == 0:
@@ -429,8 +422,8 @@ def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> 
             add(col, weights["reward"] * meta.rewards[ti])
     if weights["energy"] > 0:
         for (ai, ti, k), col in inst.x_index.items():
-            add(col, -weights["energy"] * meta.energies[ai][ti])
-        e = meta.comm_energy_per_bit
+            add(col, -weights["energy"] * frac(p.agents[ai].energy_for(meta.task_ids[ti])))
+        e = p.comm_energy_per_bit
         if e > 0:
             if meta.interference_mode:
                 for key, col in inst.r_index.items():
@@ -442,8 +435,8 @@ def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> 
                         add(col, -weights["energy"] * e * bits)
     if weights["makespan"] > 0:
         if z_col is None:
-            z_col = len(variables)
-            variables.append(Variable("z", "continuous", 0, meta.num_steps))
+            z_col = len(names)
+            names, lb, ub = names + ("z",), lb + (0,), ub + (meta.num_steps,)
         for (ai, ti, k), col in inst.x_index.items():
             completion = k + meta.durations[ai][ti]
             if completion > 0:
@@ -459,7 +452,9 @@ def encode_objective(p: ProblemInstance, spec: Objective, inst: IlpInstance) -> 
 
     return replace(
         inst,
-        variables=tuple(variables),
+        variables=names,
+        lb=lb,
+        ub=ub,
         rows=tuple(rows),
         objective=obj,
         z_col=z_col,
@@ -475,15 +470,15 @@ def check_assignment(inst: IlpInstance, values: Mapping[int, int | Fraction]) ->
     small-denominator rational), so every comparison is exact.
     """
     errors = []
-    vals: list[int | Fraction] = [0] * len(inst.variables)
+    names, lb, ub, nb = inst.variables, inst.lb, inst.ub, inst.num_binary
+    vals: list[int | Fraction] = [0] * len(names)
     for col, v in values.items():
         vals[col] = v if type(v) is int else frac(v)
-    for col, var in enumerate(inst.variables):
-        v = vals[col]
-        if var.kind == "binary" and v not in (0, 1):
-            errors.append(f"{var.name}: binary value {v} is not exactly 0/1")
-        elif not var.lb <= v <= var.ub:
-            errors.append(f"{var.name}: value {v} outside bounds [{var.lb},{var.ub}]")
+    for col, v in enumerate(vals):
+        if col < nb and v not in (0, 1):
+            errors.append(f"{names[col]}: binary value {v} is not exactly 0/1")
+        elif not lb[col] <= v <= ub[col]:
+            errors.append(f"{names[col]}: value {v} outside bounds [{lb[col]},{ub[col]}]")
     for row in inst.rows:
         act = sum(a * vals[col] for col, a in row.coeffs)
         if row.sense == LE:
@@ -634,25 +629,25 @@ def export_lp(inst: IlpInstance) -> str:
         if coef == 0:
             continue
         sign = "+" if coef >= 0 else "-"
-        terms.append(f"{sign} {_fmt_num(abs(coef))} {inst.variables[col].name}")
+        terms.append(f"{sign} {_fmt_num(abs(coef))} {inst.variables[col]}")
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
     out.append("Subject To")
     for row in inst.rows:
         parts = []
         for col, a in row.coeffs:
             sign = "+" if a >= 0 else "-"
-            parts.append(f"{sign} {abs(a)} {inst.variables[col].name}")
+            parts.append(f"{sign} {abs(a)} {inst.variables[col]}")
         rel = "<=" if row.sense == LE else "="
         out.append(f" {row.name}: {' '.join(parts)} {rel} {row.rhs}")
     out.append("Bounds")
-    for var in inst.variables:
-        if var.kind == "binary":
-            if var.lb == var.ub:
-                out.append(f" {var.name} = {_fmt_num(var.lb)}")
-        else:
-            out.append(f" {_fmt_num(var.lb)} <= {var.name} <= {_fmt_num(var.ub)}")
+    for col, name in enumerate(inst.variables):
+        lo, hi = inst.lb[col], inst.ub[col]
+        if col >= inst.num_binary:
+            out.append(f" {_fmt_num(lo)} <= {name} <= {_fmt_num(hi)}")
+        elif lo == hi:
+            out.append(f" {name} = {_fmt_num(lo)}")
     out.append("Binaries")
-    names = [v.name for v in inst.variables if v.kind == "binary"]
+    names = inst.variables[: inst.num_binary]
     for i in range(0, len(names), 8):
         out.append(" " + " ".join(names[i : i + 8]))
     out.append("End")

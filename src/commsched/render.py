@@ -5,6 +5,8 @@ Pure text assembly: identical input yields byte-identical SVG.
 
 from __future__ import annotations
 
+from .distsim import trace_from_text
+
 CELL_W = 42
 ROW_H = 40
 LEFT = 130
@@ -133,28 +135,28 @@ def render_schedule_svg(text: str) -> str:
 
 
 def render_trace_svg(text: str) -> str:
-    """Timeline of executed tasks and delivered transfers, cycle by cycle."""
-    rows: dict[str, list] = {}
+    """Timeline of executed tasks and delivered transfers, cycle by cycle.
+
+    `text` is read with `distsim.trace_from_text`, so text that is not a
+    trace raises a ValueError.
+    """
+    trace = trace_from_text(text)
+    rows: set[str] = set()
     cycles: dict[int, int] = {}
     done = []
     delivered = []
-    for ln in text.splitlines():
-        parts = ln.split(" ", 4)
-        if len(parts) < 4:
-            continue
-        cycle, phase, agent, event = int(parts[0]), parts[1], parts[2], parts[3]
-        kv = dict(p.split("=", 1) for p in (parts[4].split() if len(parts) > 4 else []) if "=" in p)
-        if event == "task_done":
-            start, end = int(kv["start"]), int(kv["end"])
-            done.append((cycle, agent, kv["task"], start, end))
-            rows.setdefault(agent, [])
-            cycles[cycle] = max(cycles.get(cycle, 0), end + 1)
-        elif event == "comm_delivered":
-            start, end = int(kv["start"]), int(kv["end"])
-            delivered.append((cycle, agent, kv["dst"], kv["task"], start, end))
-            rows.setdefault(agent, [])
-            rows.setdefault(kv["dst"], [])
-            cycles[cycle] = max(cycles.get(cycle, 0), end + 1)
+    for r in trace.select(event="task_done"):
+        kv = r.fields()
+        start, end = int(kv["start"]), int(kv["end"])
+        done.append((r.cycle, r.agent, kv["task"], start, end))
+        rows.add(r.agent)
+        cycles[r.cycle] = max(cycles.get(r.cycle, 0), end + 1)
+    for r in trace.select(event="comm_delivered"):
+        kv = r.fields()
+        start, end = int(kv["start"]), int(kv["end"])
+        delivered.append((r.cycle, r.agent, kv["dst"], kv["task"], start, end))
+        rows.update((r.agent, kv["dst"]))
+        cycles[r.cycle] = max(cycles.get(r.cycle, 0), end + 1)
     agents = sorted(rows)
     offsets: dict[int, int] = {}
     x = 0

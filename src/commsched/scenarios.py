@@ -405,7 +405,13 @@ def _cost_entry(text: str) -> CostEntry:
 
 
 def parse_scenario(text: str) -> ScenarioFile:
-    """Strict parser for the scenario format; unknown fields are rejected."""
+    """Strict parser for the scenario format.
+
+    Unknown fields, a `pos` track whose times do not strictly increase, a
+    second `cost` for one (agent, task) and a repeated `horizon`,
+    `objective`, `cycle` or `comm_energy` record are rejected; `rate` and
+    `interference` records may repeat.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "SCENARIO v1":
@@ -422,6 +428,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     interference: list[InterferenceSet] = []
     named: list[tuple[str, str]] = []  # (line, agent id) for every agent a record names
     costed: list[tuple[str, str]] = []  # (line, task id) for every cost record
+    config_records: set[str] = set()  # the [CONFIG] record kinds seen, except `interference`
     geometry_seen = contacts_seen = False
     section = None
     try:
@@ -448,6 +455,8 @@ def parse_scenario(text: str) -> ScenarioFile:
                         t, xy = chunk.split(":", 1)
                         x, y = xy.split(",")
                         track.append((frac(t), frac(x), frac(y)))
+                    if any(a[0] >= b[0] for a, b in zip(track, track[1:])):
+                        raise ScenarioFormatError(f"{ln}: pos times must strictly increase")
                     agents.append(
                         ScenarioAgent(
                             kv["id"],
@@ -460,6 +469,8 @@ def parse_scenario(text: str) -> ScenarioFile:
                     kv = _kv(parts[1:], ln, ("agent", "task", "time", "energy"))
                     named.append((ln, kv["agent"]))
                     costed.append((ln, kv["task"]))
+                    if (kv["agent"], kv["task"]) in costs:
+                        raise ScenarioFormatError(f"{ln}: a second cost for this agent and task")
                     costs[(kv["agent"], kv["task"])] = (_cost_entry(kv["time"]), _cost_entry(kv["energy"]))
                 else:
                     raise ScenarioFormatError(f"unexpected {kind!r} in [AGENTS]")
@@ -524,6 +535,10 @@ def parse_scenario(text: str) -> ScenarioFile:
                 else:
                     raise ScenarioFormatError(f"unknown script event {ev_kind!r}")
             elif section == "[CONFIG]":
+                if kind in config_records:
+                    raise ScenarioFormatError(f"{ln}: a second {kind!r} record")
+                if kind != "interference":  # shared channels may be declared one per line
+                    config_records.add(kind)
                 if kind == "horizon":
                     kv = _kv(parts[1:], ln, ("seconds", "steps"))
                     config["horizon_s"] = frac(kv["seconds"])

@@ -121,10 +121,8 @@ class _Search:
         self.inst = inst
         meta = inst.meta
         self.weights = meta.objective.weight_vector() if meta.objective else None
-        variables = inst.variables
-        n = len(variables)
-        is_binary = [v.kind == "binary" for v in variables]
-        self.is_binary = is_binary
+        n, nb = len(inst.variables), inst.num_binary
+        lb, ub = inst.lb, inst.ub
         self.state = [-1] * n
 
         # implied[v][col]: the columns forced to v once col is v. A row
@@ -145,7 +143,7 @@ class _Search:
             coeffs, rhs = row.coeffs, row.rhs
             if len(coeffs) == 2 and rhs == 0 and row.sense == LE:
                 (c0, a0), (c1, a1) = coeffs
-                if a0 == -a1 and is_binary[c0] and is_binary[c1]:
+                if a0 == -a1 and c0 < nb and c1 < nb:
                     if a0 < 0:
                         c0, c1 = c1, c0
                     implied[1][c0].append(c1)
@@ -159,14 +157,13 @@ class _Search:
                 gi = len(self.row_index)
                 amin = 0
                 cols, coefs = zip(*coeffs)
-                if not all(map(is_binary.__getitem__, cols)):
+                if max(cols) >= nb:
                     # The search decides binary columns only; z and R count at their bounds.
                     for col, a in coeffs:
-                        if not is_binary[col]:
+                        if col >= nb:
                             has_r = has_r or col != z_col  # the other continuous columns are R
-                            v = variables[col]
-                            amin += min(a * v.lb, a * v.ub)
-                    coeffs = tuple((col, a) for col, a in coeffs if is_binary[col])
+                            amin += min(a * lb[col], a * ub[col])
+                    coeffs = tuple((col, a) for col, a in coeffs if col < nb)
                     cols, coefs = tuple(zip(*coeffs)) or ((), ())
                 amin += (sum(coefs) - sum(map(abs, coefs))) // 2  # the negative coefficients
                 for col, a in coeffs:
@@ -202,9 +199,9 @@ class _Search:
 
         # Pinned columns are the root's first fixings; the root propagation
         # applies their implications along with every row.
-        for col, v in enumerate(variables):
-            if is_binary[col] and v.lb == v.ub:
-                self.fix(col, v.lb)
+        for col in range(nb):
+            if lb[col] == ub[col]:
+                self.fix(col, lb[col])
 
     # -- state updates ----------------------------------------------------
 
@@ -344,29 +341,30 @@ class _Search:
 
         False when some row with an R column cannot hold: a row with no
         active R is a constant and is checked at once, the others constrain
-        the LP.
+        the LP. Every row with an R column is a <= row (only the `req` rows,
+        over X columns alone, are equalities).
         """
         inst = self.inst
+        ub = inst.ub
         active = [
             col
             for key, col in inst.r_index.items()  # in column order
-            if values.get(inst.c_index[key]) == 1 and inst.variables[col].ub > 0
+            if values.get(inst.c_index[key]) == 1 and ub[col] > 0
         ]
         var_of = {col: i for i, col in enumerate(active)}
         cons = []
         for col in active:
-            cons.append(({var_of[col]: 1}, lp.LE, inst.variables[col].ub))
+            cons.append(({var_of[col]: 1}, lp.LE, ub[col]))
         for ri in self.r_rows:
             row = inst.rows[ri]
             rcols = [(c, a) for c, a in row.coeffs if c in var_of]
             const = sum(a * values.get(c, 0) for c, a in row.coeffs if c not in var_of)
             if not rcols:
-                if const > row.rhs or (row.sense == "=" and const != row.rhs):
+                if const > row.rhs:
                     return False
                 continue
             coeffs = {var_of[c]: a for c, a in rcols}
-            sense = lp.EQ if row.sense == "=" else lp.LE
-            cons.append((coeffs, sense, row.rhs - const))
+            cons.append((coeffs, lp.LE, row.rhs - const))
         minimize = {var_of[c]: -self.obj[c] for c in active if self.obj.get(c)} or None
         sol = lp.solve_lp(len(active), cons, minimize=minimize)
         if sol is None:
@@ -404,20 +402,20 @@ def _strip_idle_transfers(
     The assignment is feasible throughout, so zeroing a C column can break
     only the rows that fixing it to 0 tightens in the search: the rows in
     its `lo[0]` entries and the implication rows x - C <= 0. Its R column
-    is checked against every row that holds it.
+    is checked against every row that holds it. All of these are <= rows:
+    the only equalities, the `req` rows, hold X columns alone.
     """
     inst = search.inst
     rows = inst.rows
     r_rows_of: dict[int, list[int]] = defaultdict(list)
     for ri in search.r_rows:
         for col, _ in rows[ri].coeffs:
-            if not search.is_binary[col]:
+            if col >= inst.num_binary:
                 r_rows_of[col].append(ri)
 
     def row_ok(ri: int) -> bool:
         row = rows[ri]
-        act = sum(a * values.get(col, 0) for col, a in row.coeffs)
-        return act == row.rhs if row.sense == EQ else act <= row.rhs
+        return sum(a * values.get(col, 0) for col, a in row.coeffs) <= row.rhs
 
     for (ai, aj, ti, k), col in inst.c_index.items():  # in column order
         if not values.get(col) or inst.objective.get(col):
@@ -539,11 +537,8 @@ def propagate(inst: IlpInstance, fixing: Mapping[int, int]):
     search = _propagated(inst, fixing)
     if search is None:
         return CONFLICT
-    return {
-        col: search.state[col]
-        for col in range(len(inst.variables))
-        if search.is_binary[col] and search.state[col] != -1
-    }
+    state = search.state
+    return {col: state[col] for col in range(inst.num_binary) if state[col] != -1}
 
 
 def bound(inst: IlpInstance, fixing: Mapping[int, int]):

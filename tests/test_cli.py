@@ -172,6 +172,24 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: cost agent=a0 task=zz ") and "unknown task 'zz'" in err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "export"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("capability=7", "capability=7 pos=5:100,0;0:10,0", "pos times must strictly increase"),
+            ("time=1 energy=1", "time=1 energy=1\ncost agent=a0 task=t0 time=3 energy=1",
+             "a second cost for this agent and task"),
+            ("horizon seconds=4 steps=4", "horizon seconds=4 steps=4\nhorizon seconds=2 steps=2",
+             "a second 'horizon' record"),
+        ],
+        ids=["pos", "cost", "horizon"],
+    )
+    def test_ambiguous_record_exits_2(self, capsys, scenario_file, command, old, new, message):
+        text = MINIMAL.replace(old, new)
+        line = next(ln for ln in text.splitlines() if ln not in MINIMAL.splitlines())
+        assert main([command, scenario_file("min.scn", text)]) == 2
+        assert capsys.readouterr().err == f"error: {line}: {message}\n"
+
     @pytest.mark.parametrize("command", ["solve", "export"])
     def test_negative_channel_capacity_exits_2(self, capsys, scenario_file, command):
         text = SHARED_CHANNEL.replace("cap=1000", "cap=-8")
@@ -316,6 +334,23 @@ class TestRender:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["render", "/nonexistent", "--out", str(tmp_path / "x.svg")]) == 2
 
+    @pytest.mark.parametrize("text", ["hello world\n", "a b c d\n", "0 plan a0\n"])
+    def test_text_that_is_not_a_trace_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "notes.txt"
+        path.write_text(text)
+        assert main(["render", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse input: ")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_trace_svg(self, tmp_path, scenario_file):
+        sim = tmp_path / "sim"
+        assert main(["simulate", scenario_file("relay.scn", canned_scenario("relay").to_text()),
+                     "--cycles", "1", "--out", str(sim)]) == 0
+        out = tmp_path / "trace.svg"
+        assert main(["render", str(sim / "trace.txt"), "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert svg.startswith("<svg") and "cycle 0" in svg and "sample_rover" in svg
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(bytes(range(128, 256)) * 2)
@@ -342,6 +377,21 @@ class TestExportAndGenerate:
 
         text = out.read_text()
         assert parse_scenario(text).to_text() == text
+
+    def test_generate_warns_when_simulate_would_reject(self, tmp_path, capsys):
+        out = tmp_path / "gen.scn"
+        rc = main(["generate", "--agents", "2", "--science-fraction", "1", "--samples", "6",
+                   "--out", str(out)])
+        assert rc == 0 and out.exists()
+        assert capsys.readouterr().err == (
+            "warning: simulate will reject this scenario:"
+            " agent p1 owns 12 optional tasks, more than its 10 reward slots\n"
+        )
+        assert main(["simulate", str(out), "--cycles", "1"]) == 2
+
+    def test_generate_without_warning(self, tmp_path, capsys):
+        assert main(["generate", "--agents", "3", "--out", str(tmp_path / "gen.scn")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "flag, value",

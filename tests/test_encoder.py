@@ -232,13 +232,13 @@ class TestDecode:
     def test_bound_violation_is_exact(self):
         p = interference_instance(0)
         inst = encode_objective(p, p.objective, encode(p, interference=True))
-        col = next(c for c in sorted(inst.r_index.values()) if inst.variables[c].ub > 0)
-        var = inst.variables[col]
+        col = next(c for c in sorted(inst.r_index.values()) if inst.ub[c] > 0)
+        name, ub = inst.variables[col], inst.ub[col]
         values = assignment_from_schedule(inst, selfish_schedule(p))
         assert not check_assignment(inst, values)
-        values[col] = var.ub + Fraction(1, 10**9)
+        values[col] = ub + Fraction(1, 10**9)
         errors = check_assignment(inst, values)
-        assert f"{var.name}: value {values[col]} outside bounds [0,{var.ub}]" in errors
+        assert f"{name}: value {values[col]} outside bounds [0,{ub}]" in errors
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize(
@@ -255,11 +255,11 @@ class TestDecode:
             col = inst.branch_cols[seed % len(inst.branch_cols)]
             flipped[col] = 1 - flipped.get(col, 0)
             cases.append(flipped)
-        live_r = [c for c in sorted(inst.r_index.values()) if inst.variables[c].ub > 0]
+        live_r = [c for c in sorted(inst.r_index.values()) if inst.ub[c] > 0]
         if live_r:
             over = dict(seed_values)
             col = live_r[seed % len(live_r)]
-            over[col] = inst.variables[col].ub + Fraction(1, 10**9)
+            over[col] = inst.ub[col] + Fraction(1, 10**9)
             cases.append(over)
         for values in cases:
             wrapped = {col: Fraction(v) for col, v in values.items()}

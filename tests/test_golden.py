@@ -7,6 +7,7 @@ pins `propagate` and `bound` on partial fixings of the same corpus, many of
 them conflicting, which `solve` alone never reaches. A third pins the
 simulator's traces, including a lone agent, no live link, links below the
 lowest rate rung, no agent at all, a slower agent and a mid-execute outage.
+The same corpus checks the column layout that states each column's kind.
 """
 
 import hashlib
@@ -64,13 +65,30 @@ def test_exports_and_results_match_golden_digest():
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+def test_column_layout_states_each_kind():
+    """X, C and D columns are [0, num_binary), then R and z; bounds are two arrays."""
+    for p, interference, _ in corpus():
+        inst = encode_objective(p, p.objective, encode(p, interference=interference))
+        n, nb = len(inst.variables), inst.num_binary
+        assert n == len(inst.lb) == len(inst.ub)
+        blocks = {"x": inst.x_index, "c": inst.c_index, "d": inst.d_index, "r": inst.r_index}
+        for prefix, index in blocks.items():
+            assert all(inst.variables[col].startswith(prefix + "_") for col in index.values())
+        binary = [*inst.x_index.values(), *inst.c_index.values(), *inst.d_index.values()]
+        continuous = [*inst.r_index.values(), *([] if inst.z_col is None else [inst.z_col])]
+        assert sorted(binary) == list(range(nb))
+        assert sorted(continuous) == list(range(nb, n))
+        xc = sorted([*inst.x_index.values(), *inst.c_index.values()])
+        assert inst.branch_cols == tuple(col for col in xc if inst.lb[col] != inst.ub[col])
+
+
 def fixings(inst, rng):
     """The root, then random partial fixings of the free binary columns.
 
     Values lean to 0, as a dive's do. The densest tier conflicts in most
     instances, the sparsest in almost none.
     """
-    free = [col for col, v in enumerate(inst.variables) if v.kind == "binary" and v.lb != v.ub]
+    free = [col for col in range(inst.num_binary) if inst.lb[col] != inst.ub[col]]
     yield {}
     for density in (0.01, 0.04, 0.15):
         yield {col: int(rng.random() < 0.25) for col in free if rng.random() < density}

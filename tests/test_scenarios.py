@@ -270,6 +270,58 @@ class TestFileFormat:
             parse_scenario(bad)
         assert str(exc.value).startswith(line)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("pos=0:10,0", "pos=5:100,0;0:10,0", "pos times must strictly increase"),
+            ("pos=0:10,0", "pos=0:10,0;0:30,0", "pos times must strictly increase"),
+            (
+                "cost agent=base task=deliver_base time=1 energy=1",
+                "cost agent=base task=deliver_base time=1 energy=1\n"
+                "cost agent=base task=deliver_base time=3 energy=1",
+                "a second cost for this agent and task",
+            ),
+            (
+                "horizon seconds=8 steps=8",
+                "horizon seconds=8 steps=8\nhorizon seconds=4 steps=4",
+                "a second 'horizon' record",
+            ),
+            (
+                "objective kind=reward",
+                "objective kind=reward\nobjective kind=energy",
+                "a second 'objective' record",
+            ),
+            (
+                "budget_nodes=2000",
+                "budget_nodes=2000\ncycle broadcast=1 plan=1 execute=30 budget_nodes=5",
+                "a second 'cycle' record",
+            ),
+            (
+                "comm_energy per_bit=0",
+                "comm_energy per_bit=0\ncomm_energy per_bit=1",
+                "a second 'comm_energy' record",
+            ),
+        ],
+        ids=["pos-unsorted", "pos-tied", "cost", "horizon", "objective", "cycle", "comm_energy"],
+    )
+    def test_ambiguous_record_rejected(self, old, new, message):
+        text = canned_scenario("relay").to_text()
+        assert text.count(old) == 1
+        bad = text.replace(old, new)
+        line = next(ln for ln in bad.splitlines() if ln not in text.splitlines())
+        with pytest.raises(ScenarioFormatError, match=message) as exc:
+            parse_scenario(bad)
+        assert str(exc.value).startswith(line)
+
+    def test_rate_and_interference_records_may_repeat(self):
+        text = canned_scenario("relay").to_text()
+        rate = "rate src=rover dst=relay start=0 end=7 bps=1000000"
+        channel = "interference cap=5 links=rover>relay"
+        text = text.replace(rate, f"{rate}\n{rate}").replace("[END]", f"{channel}\n{channel}\n[END]")
+        sc = parse_scenario(text)
+        assert sc.rates.count(sc.rates[0]) == 2
+        assert len(sc.interference) == 2
+
     def test_zero_steps_rejected(self):
         text = canned_scenario("relay").to_text().replace("steps=8", "steps=0")
         with pytest.raises(ValueError, match="at least one step"):

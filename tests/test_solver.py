@@ -255,8 +255,8 @@ def reference_propagate(inst, fixing):
     of an open column is ruled out when the row cannot hold with it, taking
     every other open column and each continuous column at its best bound.
     """
-    variables = inst.variables
-    state = {col: v.lb for col, v in enumerate(variables) if v.kind == "binary" and v.lb == v.ub}
+    nb, lb, ub = inst.num_binary, inst.lb, inst.ub
+    state = {col: lb[col] for col in range(nb) if lb[col] == ub[col]}
     for col, v in fixing.items():
         if state.setdefault(col, v) != v:
             return CONFLICT
@@ -269,10 +269,9 @@ def reference_propagate(inst, fixing):
                 lo = hi = 0
                 open_cols = []
                 for col, a in row.coeffs:
-                    var = variables[col]
-                    if var.kind != "binary":
-                        lo += min(a * var.lb, a * var.ub)
-                        hi += max(a * var.lb, a * var.ub)
+                    if col >= nb:
+                        lo += min(a * lb[col], a * ub[col])
+                        hi += max(a * lb[col], a * ub[col])
                     elif col in state:
                         lo += a * state[col]
                         hi += a * state[col]
@@ -315,7 +314,7 @@ class TestAgainstReferenceFixpoint:
             data.draw(st.sampled_from(["random", "interference"])), data.draw(st.integers(0, 40))
         )
         # Any binary column, pinned ones too, so some fixings contradict a bound.
-        binary = [col for col, v in enumerate(inst.variables) if v.kind == "binary"]
+        binary = list(range(inst.num_binary))
         fixing = data.draw(
             st.dictionaries(st.sampled_from(binary), st.integers(0, 1), max_size=len(binary) // 4)
         )
