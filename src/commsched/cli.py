@@ -262,9 +262,15 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     rc = _emit(args.out, sc.to_text())
-    if rc == EXIT_OK:
-        for e in distsim.simulation_errors(sc.to_problem(), sc.cycle):
-            print(f"warning: simulate will reject this scenario: {e}", file=sys.stderr)
+    if rc != EXIT_OK:
+        return rc
+    try:
+        p = sc.to_problem()
+    except ValueError as exc:
+        print(f"warning: solve and simulate will reject this scenario: {exc}", file=sys.stderr)
+        return rc
+    for e in distsim.simulation_errors(p, sc.cycle):
+        print(f"warning: simulate will reject this scenario: {e}", file=sys.stderr)
     return rc
 
 

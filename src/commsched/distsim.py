@@ -297,16 +297,19 @@ class ExecutionTrace:
 
 
 def trace_from_text(text: str) -> ExecutionTrace:
+    """Read the form `ExecutionTrace.to_text` writes; blank lines are skipped."""
     trace = ExecutionTrace()
     for line in text.splitlines():
         if not line.strip():
             continue
         parts = line.split(" ", 4)
-        if len(parts) < 4:
+        if len(parts) < 4 or not parts[0].isdecimal() or parts[1] not in ("broadcast", "plan", "execute"):
             raise ValueError(f"bad trace line: {line!r}")
         cycle, phase, agent, event = parts[:4]
         payload = parts[4] if len(parts) > 4 else ""
         trace.add(int(cycle), phase, agent, event, payload)
+    if not trace.records:
+        raise ValueError("empty trace")
     return trace
 
 

@@ -47,11 +47,17 @@ CostEntry = Union[Fraction, _Forbidden]
 
 
 def frac(value: RationalLike) -> Fraction:
-    """Coerce ints, decimal/ratio strings, floats, or Fractions to Fraction."""
+    """Coerce ints, decimal/ratio strings, floats, or Fractions to Fraction.
+
+    A string with an exponent is refused: `1e99999999` alone would take
+    minutes and gigabytes to expand.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"{value!r}: write numbers without an exponent")
     return Fraction(value)
 
 
@@ -303,6 +309,7 @@ class Placement:
     agent: str
     task: str
     start: int
+    duration: int | None = None  # as a schedule file states it; None when unstated
 
 
 @dataclass(frozen=True)
@@ -356,10 +363,8 @@ class Schedule:
         lines.append(f"value {self.objective_value}")
         lines.append(f"makespan {self.makespan_steps}")
         for pl in self.placements:
-            dur = ""
-            if p is not None:
-                steps = p.duration_steps(pl.agent, pl.task)
-                dur = f" duration={steps}"
+            steps = pl.duration if p is None else p.duration_steps(pl.agent, pl.task)
+            dur = "" if steps is None else f" duration={steps}"
             lines.append(f"placement agent={pl.agent} task={pl.task} start={pl.start}{dur}")
         for c in self.comms:
             bits = ",".join(str(b) for b in c.bits_per_step)
@@ -368,36 +373,73 @@ class Schedule:
             )
         return "\n".join(lines) + "\n"
 
-    def digest(self, p: ProblemInstance | None = None) -> str:
-        return hashlib.sha256(self.to_text(p).encode()).hexdigest()
+    def digest(self) -> str:
+        return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+def kv_fields(
+    parts: Sequence[str], where: str, required: Sequence[str], optional: Sequence[str] = (),
+    error: type[ValueError] = ValueError,
+) -> dict[str, str]:
+    """The key=value fields of one record; an unknown, repeated or missing key raises `error`."""
+    kv = {}
+    for part in parts:
+        if "=" not in part:
+            raise error(f"{where}: expected key=value, got {part!r}")
+        key, value = part.split("=", 1)
+        if key not in required and key not in optional:
+            raise error(f"{where}: unknown field {key!r}")
+        if key in kv:
+            raise error(f"{where}: duplicate field {key!r}")
+        kv[key] = value
+    for key in required:
+        if key not in kv:
+            raise error(f"{where}: missing field {key!r}")
+    return kv
+
+
+def read_head(text: str, header: str, fields) -> tuple[list, list[str]]:
+    """Split off the `header` line and the `key VALUE` lines for `fields`,
+    (key, cast) pairs in order: (their values, the other non-blank lines).
+    A missing or malformed line raises a ValueError naming it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if lines[:1] != [header] or len(lines) <= len(fields):
+        raise ValueError(f"expected {header!r}, then {', '.join(key for key, _ in fields)} lines")
+    values = []
+    for ln, (key, cast) in zip(lines[1:], fields):
+        parts = ln.split()
+        try:
+            if len(parts) != 2 or parts[0] != key:
+                raise ValueError(f"expected {key!r} and one value")
+            values.append(cast(parts[1]))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"{ln}: {exc}") from None
+    return values, lines[len(fields) + 1 :]
 
 
 def schedule_from_text(text: str) -> Schedule:
-    """Parse the canonical schedule form (durations, if present, are ignored)."""
-    placements = []
-    comms = []
-    value = Fraction(0)
-    makespan = 0
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "SCHEDULE v1":
-        raise ValueError("not a schedule file (missing 'SCHEDULE v1' header)")
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        kv = dict(part.split("=", 1) for part in parts[1:] if "=" in part)
-        if kind == "value":
-            value = Fraction(parts[1])
-        elif kind == "makespan":
-            makespan = int(parts[1])
-        elif kind == "placement":
-            placements.append(Placement(kv["agent"], kv["task"], int(kv["start"])))
+    """Read what `Schedule.to_text` writes; any other line raises a ValueError naming it."""
+    (value, makespan), lines = read_head(text, "SCHEDULE v1", (("value", frac), ("makespan", int)))
+    placements, comms = [], []
+    for ln in lines:
+        kind, *parts = ln.split()
+        if kind == "placement":
+            kv = kv_fields(parts, ln, ("agent", "task", "start"), ("duration",))
         elif kind == "comm":
-            bits = tuple(Fraction(b) for b in kv["bits"].split(",")) if kv["bits"] else ()
-            comms.append(
-                CommEvent(kv["src"], kv["dst"], kv["task"], int(kv["start"]), int(kv["end"]), bits)
-            )
+            kv = kv_fields(parts, ln, ("src", "dst", "task", "start", "end", "bits"))
         else:
-            raise ValueError(f"unknown schedule record {kind!r}")
+            raise ValueError(f"{ln}: unknown schedule record {kind!r}")
+        try:
+            if kind == "placement":
+                duration = int(kv["duration"]) if "duration" in kv else None
+                placements.append(Placement(kv["agent"], kv["task"], int(kv["start"]), duration))
+            else:
+                bits = tuple(frac(b) for b in kv["bits"].split(",")) if kv["bits"] else ()
+                comms.append(
+                    CommEvent(kv["src"], kv["dst"], kv["task"], int(kv["start"]), int(kv["end"]), bits)
+                )
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"{ln}: {exc}") from None
     return Schedule(tuple(placements), tuple(comms), value, makespan)
 
 
@@ -524,6 +566,12 @@ def check_schedule(p: ProblemInstance, s: Schedule) -> list[str]:
     Simulates holdings step by step (no ILP involved) and reports violations:
     overlapping activities, missing or duplicated required tasks, precedence
     and data-product delivery failures, horizon and capacity breaches.
+
+    A comm event counts over its whole span, dead steps included: both
+    endpoints are busy at every step, and the sender must hold the product at
+    the first. The encoding counts an event's live steps only, so this check
+    and `encoder.check_assignment` agree on schedules whose every comm step
+    is live, not on one with an event that spans a dead step.
     """
     errors: list[str] = []
     tasks = p.network.by_id

@@ -6,6 +6,8 @@ Pure text assembly: identical input yields byte-identical SVG.
 from __future__ import annotations
 
 from .distsim import trace_from_text
+from .model import schedule_from_text
+from .solver import result_from_text
 
 CELL_W = 42
 ROW_H = 40
@@ -30,26 +32,6 @@ def _color(task: str) -> str:
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _parse_schedule_lines(text: str):
-    placements = []  # (agent, task, start, duration)
-    comms = []  # (src, dst, task, start, end)
-    header = {}
-    for ln in text.splitlines():
-        parts = ln.split()
-        if not parts:
-            continue
-        kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-        if parts[0] == "placement":
-            placements.append(
-                (kv["agent"], kv["task"], int(kv["start"]), int(kv.get("duration", 1) or 1))
-            )
-        elif parts[0] == "comm":
-            comms.append((kv["src"], kv["dst"], kv["task"], int(kv["start"]), int(kv["end"])))
-        elif parts[0] in ("value", "makespan"):
-            header[parts[0]] = parts[1]
-    return placements, comms, header
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -81,30 +63,27 @@ def _grid(agents: list[str], steps: int, body: list[str]):
 
 
 def render_schedule_svg(text: str) -> str:
-    """Gantt chart for a schedule file: one row per agent, computation blocks
-    plus communication arrows between rows."""
-    placements, comms, header = _parse_schedule_lines(text)
-    agents = sorted(
-        {p[0] for p in placements} | {c[0] for c in comms} | {c[1] for c in comms}
-    )
-    steps = 1
-    for _, _, start, dur in placements:
-        steps = max(steps, start + max(dur, 1))
-    for _, _, _, _, end in comms:
-        steps = max(steps, end + 1)
+    """Gantt chart for a result or schedule file, read with `result_from_text`
+    or `schedule_from_text`: one row per agent, computation blocks plus
+    communication arrows between rows."""
+    s = result_from_text(text).incumbent if text.startswith("RESULT") else schedule_from_text(text)
+    placements = sorted((p.agent, p.task, p.start, max(p.duration or 1, 1)) for p in s.placements)
+    comms = sorted((c.src, c.dst, c.task, c.start, c.end) for c in s.comms)
+    agents = sorted({pl[0] for pl in placements} | {c[0] for c in comms} | {c[1] for c in comms})
+    steps = max([1] + [start + dur for _, _, start, dur in placements] + [c[4] + 1 for c in comms])
     body: list[str] = []
     _grid(agents, steps, body)
     row_of = {a: i for i, a in enumerate(agents)}
-    for agent, task, start, dur in sorted(placements):
+    for agent, task, start, dur in placements:
         x = LEFT + start * CELL_W
         y = TOP + row_of[agent] * ROW_H
-        w = max(dur, 1) * CELL_W
+        w = dur * CELL_W
         body.append(
             f'<rect x="{x}" y="{y + 2}" width="{w}" height="{ROW_H - 12}" '
             f'fill="{_color(task)}" stroke="#334155"/>'
         )
         body.append(f'<text x="{x + 3}" y="{y + ROW_H // 2}" fill="#111">{_esc(task)}</text>')
-    for src, dst, task, start, end in sorted(comms):
+    for src, dst, task, start, end in comms:
         x1 = LEFT + start * CELL_W + 4
         x2 = LEFT + (end + 1) * CELL_W - 4
         y1 = TOP + row_of[src] * ROW_H + ROW_H // 2 - 4
@@ -123,12 +102,10 @@ def render_schedule_svg(text: str) -> str:
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#0f172a"/></marker></defs>'
     )
     body.insert(0, defs)
-    if header:
-        caption = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
-        body.append(
-            f'<text x="{LEFT}" y="{TOP + len(agents) * ROW_H + 12}" fill="#334155">'
-            f"{_esc(caption)}</text>"
-        )
+    body.append(
+        f'<text x="{LEFT}" y="{TOP + len(agents) * ROW_H + 12}" fill="#334155">'
+        f"makespan={s.makespan_steps} value={s.objective_value}</text>"
+    )
     width = LEFT + steps * CELL_W + 20
     height = TOP + len(agents) * ROW_H + 30
     return _svg(width, height, body)

@@ -53,7 +53,7 @@ from typing import Mapping
 
 from . import lp
 from .encoder import EQ, LE, IlpInstance, assignment_from_schedule, check_assignment, decode
-from .model import Schedule, frac
+from .model import Schedule, frac, read_head, schedule_from_text
 
 NEG_INF = float("-inf")
 
@@ -86,7 +86,7 @@ class SolveResult:
     incumbent: Schedule
     incumbent_value: Fraction
     best_bound: Fraction
-    status: str  # "optimal" | "budget_exhausted" | "infeasible_proven"
+    status: str  # "optimal" | "budget_exhausted"
     nodes_explored: int
 
     def to_text(self, p=None) -> str:
@@ -98,6 +98,15 @@ class SolveResult:
             f"nodes {self.nodes_explored}",
         ]
         return "\n".join(lines) + "\n" + self.incumbent.to_text(p)
+
+
+def result_from_text(text: str) -> SolveResult:
+    """Read the form `SolveResult.to_text` writes: its head, then the schedule."""
+    fields = (("status", str), ("value", frac), ("bound", frac), ("nodes", int))
+    (status, value, bound, nodes), lines = read_head(text, "RESULT v1", fields)
+    if status not in ("optimal", "budget_exhausted"):
+        raise ValueError(f"status {status}: unknown status")
+    return SolveResult(schedule_from_text("\n".join(lines)), value, bound, status, nodes)
 
 
 def _dense(by_col: dict[int, list], n: int) -> list:

@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from commsched.cli import BENCHMARK_HEADER, build_parser, main
 from commsched.distsim import trace_from_text
-from commsched.model import check_schedule, schedule_from_text
+from commsched.model import check_schedule
 from commsched.scenarios import canned_scenario, generate_random, parse_scenario
-from commsched.solver import SolveBudget
+from commsched.solver import SolveBudget, result_from_text
 
 MINIMAL = """SCENARIO v1
 [AGENTS]
@@ -201,8 +201,7 @@ class TestSolve:
         path = scenario_file("shared.scn", SHARED_CHANNEL)
         assert main(["solve", path, "--out", str(out)]) == 0
         p = parse_scenario(SHARED_CHANNEL).to_problem()
-        text = out.read_text()
-        schedule = schedule_from_text(text[text.index("SCHEDULE v1"):])
+        schedule = result_from_text(out.read_text()).incumbent
         assert schedule.objective_value == 10
         assert check_schedule(p, schedule) == []
 
@@ -212,6 +211,25 @@ class TestSolve:
                    "--out", str(out)])
         assert rc == 0
         assert "value 0" in out.read_text()
+
+
+class TestSizeLimit:
+    """A horizon of 10^8 steps is refused from the predicted column count."""
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "export"])
+    def test_huge_horizon_exits_2(self, capsys, scenario_file, command):
+        text = canned_scenario("relay").to_text().replace("steps=8\n", "steps=100000000\n")
+        assert main([command, scenario_file("big.scn", text)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the encoding would have 3000000000 binary columns"
+        )
+
+    def test_huge_horizon_fills_the_benchmark_error_column(self, tmp_path, scenario_file):
+        text = canned_scenario("relay").to_text().replace("steps=8\n", "steps=100000000\n")
+        out = tmp_path / "bench.csv"
+        assert main(["benchmark", scenario_file("big.scn", text), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and all("binary columns" in r["error"] for r in rows)
 
 
 class TestSimulate:
@@ -334,12 +352,47 @@ class TestRender:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["render", "/nonexistent", "--out", str(tmp_path / "x.svg")]) == 2
 
-    @pytest.mark.parametrize("text", ["hello world\n", "a b c d\n", "0 plan a0\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "hello world\n",
+            "a b c d\n",
+            "0 plan a0\n",
+            "1 x y z\n",
+            "",
+            "SCHEDULE v1\nhello world\n",
+            "SCHEDULE v1\nvalue\n",
+            "SCHEDULE v1\ncomm src=a dst=b task=t start=0 end=0\n",
+            "SCHEDULE v1\nplacement agent=a task=t start=0 start=5\n",
+            "SCHEDULE v1\nplacement agent=a task=t start=0 garbage\n",
+            "RESULT v1\nstatus optimal\n",
+        ],
+    )
     def test_text_that_is_not_a_trace_exits_2(self, tmp_path, capsys, text):
+        """Nor a schedule or a result: no reader accepts it, so no file is written."""
         path = tmp_path / "notes.txt"
         path.write_text(text)
         assert main(["render", str(path), "--out", str(tmp_path / "x.svg")]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse input: ")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "hello world",
+            "comm src=a dst=b task=t start=0 end=0",
+            "placement agent=a task=t start=0 start=5",
+            "placement agent=a task=t start=0 garbage",
+            "placement agent=a task=t start=x",
+            "value 3",
+        ],
+    )
+    def test_bad_schedule_record_is_named(self, tmp_path, capsys, line):
+        path = tmp_path / "sched.txt"
+        path.write_text(f"RESULT v1\nstatus optimal\nvalue 0\nbound 0\nnodes 1\n"
+                        f"SCHEDULE v1\nvalue 0\nmakespan 0\n{line}\n")
+        assert main(["render", str(path), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot parse input: {line}: ")
         assert not (tmp_path / "x.svg").exists()
 
     def test_trace_svg(self, tmp_path, scenario_file):
@@ -388,6 +441,14 @@ class TestExportAndGenerate:
             " agent p1 owns 12 optional tasks, more than its 10 reward slots\n"
         )
         assert main(["simulate", str(out), "--cycles", "1"]) == 2
+
+    def test_generate_warns_when_solve_would_reject(self, tmp_path, capsys):
+        out = tmp_path / "gen.scn"
+        assert main(["generate", "--agents", "15", "--out", str(out)]) == 0 and out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("warning: solve and simulate will reject this scenario:"
+                              " the encoding would have 226440 binary columns")
+        assert main(["solve", str(out)]) == 2
 
     def test_generate_without_warning(self, tmp_path, capsys):
         assert main(["generate", "--agents", "3", "--out", str(tmp_path / "gen.scn")]) == 0

@@ -231,6 +231,13 @@ class TestRunCycles:
         again = trace_from_text(trace.to_text())
         assert again.to_text() == trace.to_text()
 
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "1 x y z\n", "one plan a0 digest\n", "0 plan a0\n"]
+    )
+    def test_reader_rejects_what_the_writer_never_writes(self, text):
+        with pytest.raises(ValueError):
+            trace_from_text(text)
+
     def test_capability_scaling_doubles_cost(self):
         sc = canned_scenario("relay")
         p = sc.to_problem()

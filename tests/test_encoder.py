@@ -1,8 +1,10 @@
 """Encoding: variable layout, rows, objectives, decode, LP export."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from commsched import (
     AgentProfile,
@@ -26,6 +28,7 @@ from commsched import (
 )
 from commsched.baseline import selfish_schedule
 from commsched.encoder import assignment_from_schedule
+from commsched.model import CommEvent, Placement, Schedule
 
 from helpers import interference_instance, random_instance
 
@@ -333,3 +336,69 @@ class TestEncodingEquivalence:
         assert res.status == "optimal"
         assert res.incumbent_value == brute_force(p).objective_value
         assert not check_schedule(p, res.incumbent)
+
+
+@functools.lru_cache(maxsize=None)
+def solved(seed: int):
+    """(problem, program, feasible schedule) of one `random_instance` seed."""
+    p = random_instance(seed)
+    inst = encode_objective(p, p.objective, encode(p))
+    res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(2000))
+    return p, inst, res.incumbent
+
+
+@st.composite
+def perturbed(draw):
+    """A solver schedule with one placement or comm event moved or dropped.
+
+    A moved comm event keeps its length and carries each step's full link
+    capacity. It is drawn only where every step of it is live, because
+    `check_schedule` and the encoding count the steps of an event that spans
+    a dead step differently, and only where it shares no step with another
+    event of its product on its link, because `assignment_from_schedule`
+    maps both to one column.
+    """
+    p, inst, s = solved(draw(st.integers(0, 199)))
+    placements, comms = list(s.placements), list(s.comms)
+    kinds = (["shift", "move", "drop"] if placements else []) + (["comm"] if comms else [])
+    assume(kinds)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "comm":
+        i = draw(st.integers(0, len(comms) - 1))
+        c = comms[i]
+        start = c.start + draw(st.sampled_from((-2, -1, 1, 2)))
+        steps = range(start, start + len(c.bits_per_step))
+        rates = [p.contacts.rate(c.src, c.dst, k) for k in steps]
+        assume(start >= 0 and all(r > 0 for r in rates))
+        assume(not any(
+            (d.src, d.dst, d.task) == (c.src, c.dst, c.task) and d.start <= steps[-1] and start <= d.end
+            for j, d in enumerate(comms) if j != i
+        ))
+        dt = p.horizon.step_duration
+        comms[i] = CommEvent(c.src, c.dst, c.task, start, steps[-1], tuple(r * dt for r in rates))
+    else:
+        i = draw(st.integers(0, len(placements) - 1))
+        pl = placements[i]
+        if kind == "shift":
+            placements[i] = Placement(pl.agent, pl.task, pl.start + draw(st.sampled_from((-2, -1, 1, 2))))
+        elif kind == "move":
+            others = [a for a in p.agent_ids if a != pl.agent]
+            assume(others)
+            placements[i] = Placement(draw(st.sampled_from(others)), pl.task, pl.start)
+        else:
+            del placements[i]
+    ends = [pl.start + (p.duration_steps(pl.agent, pl.task) or 0) for pl in placements]
+    return p, inst, Schedule(tuple(placements), tuple(comms), s.objective_value, max(ends, default=0))
+
+
+class TestCheckersAgree:
+    @given(case=perturbed())
+    @settings(max_examples=300, deadline=None)
+    def test_check_schedule_agrees_with_check_assignment(self, case):
+        p, inst, s = case
+        try:
+            encoding_ok = check_assignment(inst, assignment_from_schedule(inst, s)) == []
+        except InfeasibleAssignment:
+            encoding_ok = False
+        event(f"feasible={encoding_ok}")
+        assert (check_schedule(p, s) == []) == encoding_ok

@@ -7,7 +7,9 @@ pins `propagate` and `bound` on partial fixings of the same corpus, many of
 them conflicting, which `solve` alone never reaches. A third pins the
 simulator's traces, including a lone agent, no live link, links below the
 lowest rate rung, no agent at all, a slower agent and a mid-execute outage.
-The same corpus checks the column layout that states each column's kind.
+The same corpus checks the column layout that states each column's kind,
+and that each schedule and result text reads back to the same text. A fourth
+digest pins the SVG renders of schedules, results and traces.
 """
 
 import hashlib
@@ -28,13 +30,17 @@ from commsched import (
 )
 from commsched.baseline import selfish_schedule
 from commsched.distsim import ScriptEvent, WorldScript, run_cycles
+from commsched.model import Schedule, schedule_from_text
+from commsched.render import render_schedule_svg, render_trace_svg
 from commsched.scenarios import canned_scenario, generate_random
+from commsched.solver import result_from_text
 
 from helpers import interference_instance, random_instance
 
 GOLDEN_SHA256 = "1f01ef356a83cc363cdedf695598cc24f336b1c7d5cde62132b20227cc5939ce"
 PROPAGATE_SHA256 = "09085e168464b8d56a685c12aae224c01deae88020e3fff478eba9b8737c9260"
 TRACE_SHA256 = "fa3839eef381cfbf62f629d5b11e54dce166bd7922c5da03ac84f04ef076bd81"
+SVG_SHA256 = "b7b89e0a5ee73e059ddeeac8215a3ef425c646197a37dbb4fcf06608a6db902e"
 
 CANNED = ("relay", "science_cluster", "assembly_line", "data_mule")
 OBJECTIVES = (Objective.reward, Objective.makespan, Objective.energy)
@@ -58,7 +64,11 @@ def test_exports_and_results_match_golden_digest():
         inst = encode_objective(p, p.objective, encode(p, interference=interference))
         h.update(export_lp(inst).encode())
         res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(nodes))
-        h.update(res.to_text(p).encode())
+        text = res.to_text(p)
+        h.update(text.encode())
+        assert result_from_text(text).to_text() == text
+        for t in (res.incumbent.to_text(p), res.incumbent.to_text()):
+            assert schedule_from_text(t).to_text() == t
         assert type(res.incumbent_value) is Fraction
         assert type(res.best_bound) is Fraction
         assert type(res.incumbent.objective_value) is Fraction
@@ -145,3 +155,32 @@ def test_simulation_traces_match_golden_digest():
         trace = run_cycles(sc.to_problem(), script, sc.cycle, cycles, capabilities)
         h.update(trace.to_text().encode())
     assert h.hexdigest() == TRACE_SHA256
+
+
+def renders():
+    """The SVG texts in digest order: each canned plan as a schedule and as a
+    result, with and without durations; traces; the empty schedule."""
+    for name in CANNED:
+        for make in OBJECTIVES:
+            p = replace(canned_scenario(name).to_problem(), objective=make())
+            inst = encode_objective(p, p.objective, encode(p))
+            res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(300))
+            for q in (p, None):
+                yield render_schedule_svg(res.incumbent.to_text(q))
+                yield render_schedule_svg(res.to_text(q))
+    for sc, script, capabilities, _ in list(simulations())[:4]:
+        yield render_trace_svg(run_cycles(sc.to_problem(), script, sc.cycle, 3, capabilities).to_text())
+    sc = generate_random(4, 0.5, 1, seed=3)
+    sc = replace(sc, cycle=replace(sc.cycle, budget=SolveBudget(200)))
+    yield render_trace_svg(run_cycles(sc.to_problem(), sc.script, sc.cycle, 3, sc.capabilities()).to_text())
+    yield render_schedule_svg(Schedule((), ()).to_text())
+
+
+def test_renders_match_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    for svg in renders():
+        h.update(svg.encode())
+        count += 1
+    assert count == 54
+    assert h.hexdigest() == SVG_SHA256

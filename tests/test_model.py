@@ -1,5 +1,7 @@
 """Domain model: durations, transfer arithmetic, ordering, validation."""
 
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +217,39 @@ class TestSchedule:
         again = schedule_from_text(text)
         assert again == s
         assert again.to_text() == text
+
+    def test_stated_duration_round_trip(self):
+        s = Schedule((Placement("a0", "t0", 0, duration=3),), (), makespan_steps=3)
+        text = s.to_text()
+        assert "placement agent=a0 task=t0 start=0 duration=3\n" in text
+        again = schedule_from_text(text)
+        assert again == s and again.to_text() == text
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "expected 'SCHEDULE v1', then value, makespan lines"),
+            ("value 0\n", "expected 'SCHEDULE v1', then value, makespan lines"),
+            ("makespan 0\nvalue 0\n", "makespan 0: expected 'value' and one value"),
+            ("value 1 2\nmakespan 0\n", "value 1 2: expected 'value' and one value"),
+            ("value x\nmakespan 0\n", "value x: "),
+            ("value 0\nmakespan 0\nvalue 0\n", "value 0: unknown schedule record 'value'"),
+            ("value 0\nmakespan 0\nplacement agent=a task=t\n", "missing field 'start'"),
+            ("value 0\nmakespan 0\nplacement agent=a task=t start=0 at=1\n", "unknown field 'at'"),
+            ("value 0\nmakespan 0\nplacement agent=a task=t start=0 duration=\n", "duration=: "),
+            ("value 0\nmakespan 0\ncomm src=a dst=b task=t start=0 end=1 bits=1\n", "bits=1: "),
+            ("value 0\nmakespan 0\ncomm src=a dst=b task=t start=0 end=0 bits=1/0\n", "bits=1/0: "),
+        ],
+    )
+    def test_reader_rejects_what_the_writer_never_writes(self, body, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            schedule_from_text("SCHEDULE v1\n" + body)
+
+    def test_exponent_is_refused_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="without an exponent"):
+            schedule_from_text("SCHEDULE v1\nvalue 1e99999999\nmakespan 0\n")
+        assert time.perf_counter() - started < 1
 
     def test_digest_is_stable(self):
         s = Schedule((Placement("a0", "t0", 0),), ())

@@ -1,5 +1,6 @@
 """Reference enumerator: guard, spec cases, interference handling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,16 @@ from commsched import (
     Objective,
     ProblemInstance,
     SoftwareNetwork,
+    SolveBudget,
     Task,
     TooLarge,
     brute_force,
     check_schedule,
+    encode,
+    encode_objective,
+    solve,
 )
+from commsched.baseline import selfish_schedule
 
 from helpers import interference_instance, random_instance
 
@@ -121,3 +127,21 @@ class TestInterference:
                 brute_force(p, interference=True).objective_value
                 <= brute_force(uncapped).objective_value
             )
+
+
+def weighted_instance(seed: int) -> ProblemInstance:
+    """`random_instance(seed)` under a weighted objective with weights 0-3."""
+    rng = random.Random(seed)
+    weights = [0, 0, 0]
+    while not any(weights):
+        weights = [rng.randint(0, 3) for _ in range(3)]
+    return random_instance(seed, Objective.weighted(zip(("reward", "makespan", "energy"), weights)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solver_equals_oracle_under_weighted_objective(seed):
+    p = weighted_instance(seed)
+    inst = encode_objective(p, p.objective, encode(p))
+    res = solve(inst, selfish_schedule(p, mode="storage_excepted"), SolveBudget(200_000))
+    assert res.status == "optimal"
+    assert res.incumbent_value == brute_force(p).objective_value

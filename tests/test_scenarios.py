@@ -1,12 +1,16 @@
 """Scenario builders, the bandwidth model, and the file format."""
 
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from commsched import Objective, brute_force, check_schedule, validate_problem
 from commsched.scenarios import (
     DEFAULT_COSTS,
+    MAX_BINARY_COLUMNS,
     MBPS,
     ScenarioFormatError,
     UnknownScenario,
@@ -340,3 +344,86 @@ class TestFileFormat:
         again = parse_scenario(text)
         assert again.objective == sc.objective
         assert again.to_text() == text
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "make", [lambda: canned_scenario("relay"), lambda: generate_random(3, 0.5, 1, 2)]
+    )
+    def test_huge_horizon_is_rejected_from_the_estimate(self, make):
+        sc = replace(make(), steps=10**9)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"binary columns .*, more than {MAX_BINARY_COLUMNS}"):
+            sc.to_problem()
+        assert time.perf_counter() - started < 1
+
+    def test_number_with_exponent_is_refused_at_once(self):
+        text = canned_scenario("relay").to_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith("rate "))
+        bad = text.replace(line, line.rsplit("=", 1)[0] + "=1e99999999")
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="without an exponent"):
+            parse_scenario(bad)
+        assert time.perf_counter() - started < 1
+
+    def test_limit_is_inclusive(self):
+        sc = canned_scenario("relay")
+        n, m = len(sc.agents), len(sc.tasks)
+        steps = MAX_BINARY_COLUMNS // (n * n * m + 2 * n * m)
+        assert replace(sc, steps=steps).to_problem().horizon.num_steps == steps
+        with pytest.raises(ValueError, match="binary columns"):
+            replace(sc, steps=steps + 1).to_problem()
+
+
+SEED_TEXTS = tuple(
+    canned_scenario(name).to_text() for name in ("relay", "science_cluster", "assembly_line", "data_mule")
+) + tuple(
+    generate_random(agents, 0.5, samples, seed).to_text()
+    for agents, samples, seed in ((2, 1, 0), (3, 2, 1))
+)
+#: Characters a substitution draws: digits, signs, separators, letters.
+ALPHABET = "0123456789-+=,;:/.>[]# xe\n"
+#: Replacement values, huge and degenerate, beside the values in the text.
+EDGE_VALUES = ("9" * 40, "-" + "9" * 40, "1e99999999", "0", "-1", "1/0", "", "x")
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A scenario text with one to three character substitutions, value
+    swaps, duplicated or deleted lines, or dropped fields."""
+    lines = draw(st.sampled_from(SEED_TEXTS)).splitlines()
+    values = sorted({t.split("=", 1)[1] for ln in lines for t in ln.split() if "=" in t})
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        kind = draw(st.sampled_from(("char", "value", "duplicate", "delete", "drop")))
+        if kind == "char" and lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(ALPHABET)) + lines[i][j + 1 :]
+        elif kind == "value" and any("=" in t for t in tokens):
+            j = draw(st.sampled_from([j for j, t in enumerate(tokens) if "=" in t]))
+            value = draw(st.sampled_from(EDGE_VALUES + tuple(values)))
+            tokens[j] = tokens[j].split("=", 1)[0] + "=" + value
+            lines[i] = " ".join(tokens)
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "drop" and len(tokens) > 1:
+            del tokens[draw(st.integers(1, len(tokens) - 1))]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(text=mutated_scenario())
+@settings(max_examples=800, deadline=None)
+def test_mutated_scenario_raises_only_value_errors(text):
+    try:
+        p = parse_scenario(text).to_problem()
+        event(f"valid={validate_problem(p).ok}")
+    except ScenarioFormatError:
+        event("ScenarioFormatError")
+    except ValueError:
+        event("ValueError")

@@ -1,6 +1,7 @@
 """Branch-and-bound: determinism, anytime behavior, propagation, bounds."""
 
 import functools
+import re
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,7 @@ from commsched import (
 from commsched.baseline import selfish_schedule
 from commsched.model import Placement
 from commsched.scenarios import canned_scenario
-from commsched.solver import NEG_INF, _propagated, _Search
+from commsched.solver import NEG_INF, _propagated, _Search, result_from_text
 
 from helpers import interference_instance, random_instance
 
@@ -372,3 +373,28 @@ class TestBacktracking:
         assert search.state == fresh.state
         assert search.amin == fresh.amin
         assert search.bound() == fresh.bound()
+
+
+class TestResultText:
+    HEAD = "RESULT v1\nstatus optimal\nvalue 0\nbound 0\nnodes 1\n"
+    EMPTY = "SCHEDULE v1\nvalue 0\nmakespan 0\n"
+
+    def test_round_trip(self):
+        text = self.HEAD + self.EMPTY
+        assert result_from_text(text).to_text() == text
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("SCHEDULE v1\nvalue 0\nmakespan 0\n", "expected 'RESULT v1', then status, value"),
+            ("RESULT v1\nstatus optimal\n", "expected 'RESULT v1', then status, value, bound, nodes lines"),
+            (HEAD.replace("optimal", "infeasible_proven") + EMPTY, "status infeasible_proven: unknown status"),
+            (HEAD.replace("nodes 1", "nodes one") + EMPTY, "nodes one: "),
+            (HEAD.replace("bound 0", "nodes 0") + EMPTY, "nodes 0: expected 'bound' and one value"),
+            (HEAD, "expected 'SCHEDULE v1', then value, makespan lines"),
+            (HEAD + EMPTY + "status optimal\n", "unknown schedule record 'status'"),
+        ],
+    )
+    def test_reader_rejects_what_the_writer_never_writes(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            result_from_text(text)
