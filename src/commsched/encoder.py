@@ -575,7 +575,12 @@ def assignment_from_schedule(inst: IlpInstance, s: Schedule) -> dict[int, int | 
             k = c.start + idx
             live = (ai, aj, k) in meta.link_bits
             if live:  # dead steps inside an event move no bits; their C is pinned 0
-                values[inst.c_index[(ai, aj, ti, k)]] = 1
+                col = inst.c_index[(ai, aj, ti, k)]
+                if col in values:
+                    raise InfeasibleAssignment(
+                        f"comm {c.task} {c.src}->{c.dst} at step {k} overlaps another event"
+                    )
+                values[col] = 1
                 if meta.interference_mode and bits > 0:
                     values[inst.r_index[(ai, aj, ti, k)]] = bits
             acc += bits

@@ -354,9 +354,7 @@ def perturbed(draw):
     A moved comm event keeps its length and carries each step's full link
     capacity. It is drawn only where every step of it is live, because
     `check_schedule` and the encoding count the steps of an event that spans
-    a dead step differently, and only where it shares no step with another
-    event of its product on its link, because `assignment_from_schedule`
-    maps both to one column.
+    a dead step differently.
     """
     p, inst, s = solved(draw(st.integers(0, 199)))
     placements, comms = list(s.placements), list(s.comms)
@@ -370,10 +368,6 @@ def perturbed(draw):
         steps = range(start, start + len(c.bits_per_step))
         rates = [p.contacts.rate(c.src, c.dst, k) for k in steps]
         assume(start >= 0 and all(r > 0 for r in rates))
-        assume(not any(
-            (d.src, d.dst, d.task) == (c.src, c.dst, c.task) and d.start <= steps[-1] and start <= d.end
-            for j, d in enumerate(comms) if j != i
-        ))
         dt = p.horizon.step_duration
         comms[i] = CommEvent(c.src, c.dst, c.task, start, steps[-1], tuple(r * dt for r in rates))
     else:
@@ -402,3 +396,14 @@ class TestCheckersAgree:
             encoding_ok = False
         event(f"feasible={encoding_ok}")
         assert (check_schedule(p, s) == []) == encoding_ok
+
+    def test_comm_event_written_twice_is_rejected(self):
+        from dataclasses import replace
+
+        p, inst, s = solved(5)
+        twice = replace(s, comms=(s.comms[0],) + s.comms)
+        assert any("overlaps" in e for e in check_schedule(p, twice))
+        with pytest.raises(InfeasibleAssignment, match="overlaps"):
+            assignment_from_schedule(inst, twice)
+        with pytest.raises(InfeasibleAssignment):
+            solve(inst, twice, SolveBudget(10))
